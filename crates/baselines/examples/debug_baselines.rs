@@ -1,8 +1,8 @@
 //! Scratch diagnostics for baseline tuning (not a shipped example).
-use ffs_baselines::{BaselineKind, MonolithicSystem};
+use ffs_baselines::{baseline_policies, BaselineKind};
 use ffs_trace::{AzureTraceConfig, WorkloadClass};
 use fluidfaas::platform::runner::run_platform;
-use fluidfaas::FfsConfig;
+use fluidfaas::{Engine, FfsConfig};
 
 fn main() {
     let secs: f64 = std::env::args()
@@ -17,8 +17,9 @@ fn main() {
         for kind in [BaselineKind::Esg, BaselineKind::Infless] {
             let cfg = FfsConfig::paper_default(wl);
             let trace = AzureTraceConfig::for_workload(wl, secs, 1).generate();
-            let mut sys = MonolithicSystem::new(kind, cfg, &trace);
-            let out = run_platform(&mut sys, &trace);
+            let mut engine =
+                Engine::new(cfg, baseline_policies(kind), &trace).expect("valid setup");
+            let out = run_platform(&mut engine, &trace);
             println!(
                 "{:8} {:8} hit={:.3} thr={:.1} p95={:.0} gpu_t={:.0} mig_t={:.0}",
                 wl.name(),

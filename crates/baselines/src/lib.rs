@@ -11,10 +11,11 @@
 //!   monolithic assignment without ESG's resource-efficiency ranking —
 //!   it grabs the largest free slice — and FIFO routing.
 //!
-//! Both share [`mono::MonolithicSystem`], parameterised by
-//! [`mono::BaselineKind`]: a [`mono::baseline_policies`] bundle (router,
-//! placer, autoscaler) over the shared `fluidfaas` engine — the baselines
-//! keep no event loop of their own. Neither can split a function, so
+//! Both are a [`mono::baseline_policies`] bundle (router, placer,
+//! autoscaler), parameterised by [`mono::BaselineKind`], handed to the
+//! shared `fluidfaas` engine (`Engine::new(cfg, baseline_policies(kind),
+//! trace)`) — the baselines keep no event loop of their own. Neither can
+//! split a function, so
 //! neither can use fragmented slices smaller than the function's
 //! monolithic footprint — the root cause of the under-utilization the
 //! paper analyses (§4).
@@ -25,4 +26,4 @@ pub mod esg_search;
 pub mod mono;
 
 pub use esg_search::{placement_preference, search, ConfigPlan, SearchResult};
-pub use mono::{baseline_policies, BaselineKind, MonolithicSystem};
+pub use mono::{baseline_policies, BaselineKind};

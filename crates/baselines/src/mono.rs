@@ -16,21 +16,17 @@
 //! quantifies (Figure 5). Neither time-shares slices nor migrates, so they
 //! run with the engine's no-op shared pool and migrator.
 
-use ffs_mig::{NodeId, SliceProfile};
+use ffs_mig::NodeId;
 use ffs_pipeline::DeploymentPlan;
-use ffs_sim::{Scheduler, SimDuration, SimTime, World};
-use ffs_trace::Trace;
+use ffs_sim::{Scheduler, SimTime};
 
-use fluidfaas::config::FfsConfig;
-use fluidfaas::platform::catalog::{FuncId, FunctionCatalog};
-use fluidfaas::platform::engine::{Engine, EngineCore, EngineError, MAX_LAUNCHES_PER_TICK};
+use fluidfaas::platform::catalog::FuncId;
+use fluidfaas::platform::engine::{EngineCore, MAX_LAUNCHES_PER_TICK};
 use fluidfaas::platform::events::{Event, InstanceId};
-use fluidfaas::platform::hub::MetricsHub;
 use fluidfaas::platform::policy::{
     lowest_latency_instance, route_to_instance, Autoscaler, NoMigrator, NoSharedPool, Placer,
     PolicyBundle, Router, SharedPoolPolicy,
 };
-use fluidfaas::platform::runner::Platform;
 
 /// Which baseline policy the system runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,101 +231,18 @@ pub fn baseline_policies(kind: BaselineKind) -> PolicyBundle {
     }
 }
 
-/// A monolithic-view baseline platform: the shared engine driven by
-/// [`baseline_policies`].
-pub struct MonolithicSystem {
-    kind: BaselineKind,
-    engine: Engine,
-}
-
-impl MonolithicSystem {
-    /// Builds a baseline platform for the trace.
-    ///
-    /// # Panics
-    /// Panics if the config's partition scheme is invalid or the trace
-    /// invokes an unknown app; use [`MonolithicSystem::try_new`] to handle
-    /// those as errors.
-    pub fn new(kind: BaselineKind, cfg: FfsConfig, trace: &Trace) -> Self {
-        Self::try_new(kind, cfg, trace)
-            .unwrap_or_else(|e| panic!("invalid {} setup: {e}", kind.name()))
-    }
-
-    /// Fallible constructor: builds the platform or reports why the
-    /// config/trace pair cannot be served.
-    pub fn try_new(kind: BaselineKind, cfg: FfsConfig, trace: &Trace) -> Result<Self, EngineError> {
-        Ok(MonolithicSystem {
-            kind,
-            engine: Engine::new(cfg, baseline_policies(kind), trace)?,
-        })
-    }
-
-    /// The baseline's policy kind.
-    pub fn kind(&self) -> BaselineKind {
-        self.kind
-    }
-
-    /// Live instance count (introspection for tests).
-    pub fn instance_count(&self) -> usize {
-        self.engine.core.instance_count()
-    }
-
-    /// The function catalog.
-    pub fn catalog(&self) -> &FunctionCatalog {
-        &self.engine.core.catalog
-    }
-
-    /// The slice profiles currently allocated (for the Figure 3(b)-style
-    /// "which slices does the baseline actually use" analysis).
-    pub fn allocated_profiles(&self) -> Vec<SliceProfile> {
-        self.engine
-            .core
-            .instances
-            .values()
-            .map(|i| i.plan.stages[0].profile)
-            .collect()
-    }
-}
-
-impl World for MonolithicSystem {
-    type Event = Event;
-
-    fn handle(&mut self, now: SimTime, ev: Event, sched: &mut Scheduler<Event>) {
-        self.engine.handle(now, ev, sched)
-    }
-}
-
-impl Platform for MonolithicSystem {
-    fn drain(&self) -> SimDuration {
-        self.engine.drain()
-    }
-
-    fn finalize(&mut self, end: SimTime) {
-        self.engine.finalize(end)
-    }
-
-    fn take_hub(&mut self) -> MetricsHub {
-        self.engine.take_hub()
-    }
-
-    fn num_gpus(&self) -> usize {
-        self.engine.num_gpus()
-    }
-
-    fn slices_per_gpu(&self) -> usize {
-        self.engine.slices_per_gpu()
-    }
-
-    fn fault_stats(&self) -> fluidfaas::platform::FaultStats {
-        self.engine.fault_stats()
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use ffs_trace::{AzureTraceConfig, WorkloadClass};
+    use ffs_mig::SliceProfile;
+    use ffs_trace::{AzureTraceConfig, Trace, WorkloadClass};
     use fluidfaas::platform::runner::run_platform;
+    use fluidfaas::{Engine, FfsConfig};
+
+    fn baseline_engine(kind: BaselineKind, cfg: FfsConfig, trace: &Trace) -> Engine {
+        Engine::new(cfg, baseline_policies(kind), trace).unwrap()
+    }
 
     fn run(
         kind: BaselineKind,
@@ -339,8 +252,18 @@ mod tests {
     ) -> fluidfaas::platform::runner::RunOutput {
         let cfg = FfsConfig::paper_default(workload);
         let trace = AzureTraceConfig::for_workload(workload, secs, seed).generate();
-        let mut sys = MonolithicSystem::new(kind, cfg, &trace);
-        run_platform(&mut sys, &trace)
+        run_platform(&mut baseline_engine(kind, cfg, &trace), &trace)
+    }
+
+    /// The slice profiles the live instances hold (which slices a baseline
+    /// actually uses, as in Figure 3(b)).
+    fn allocated_profiles(engine: &Engine) -> Vec<SliceProfile> {
+        engine
+            .core
+            .instances
+            .values()
+            .map(|i| i.plan.stages[0].profile)
+            .collect()
     }
 
     #[test]
@@ -357,11 +280,11 @@ mod tests {
     fn esg_uses_smallest_viable_slice() {
         let cfg = FfsConfig::test_small(WorkloadClass::Light);
         let trace = AzureTraceConfig::steady(WorkloadClass::Light.apps(), 5.0, 2.0, 3).generate();
-        let mut sys = MonolithicSystem::new(BaselineKind::Esg, cfg, &trace);
+        let mut sys = baseline_engine(BaselineKind::Esg, cfg, &trace);
         let _ = run_platform(&mut sys, &trace);
         // Small variants fit 1g.10gb; ESG must have picked small slices
         // first (some spill to bigger ones as 1g slices run out).
-        let profiles = sys.allocated_profiles();
+        let profiles = allocated_profiles(&sys);
         assert!(profiles.contains(&SliceProfile::G1_10), "{profiles:?}");
     }
 
@@ -369,9 +292,9 @@ mod tests {
     fn infless_grabs_large_slices_first() {
         let cfg = FfsConfig::test_small(WorkloadClass::Light);
         let trace = AzureTraceConfig::steady(WorkloadClass::Light.apps(), 5.0, 2.0, 3).generate();
-        let mut sys = MonolithicSystem::new(BaselineKind::Infless, cfg, &trace);
+        let mut sys = baseline_engine(BaselineKind::Infless, cfg, &trace);
         let _ = run_platform(&mut sys, &trace);
-        let profiles = sys.allocated_profiles();
+        let profiles = allocated_profiles(&sys);
         assert!(profiles.contains(&SliceProfile::G4_40), "{profiles:?}");
     }
 

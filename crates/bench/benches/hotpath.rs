@@ -1,10 +1,10 @@
 //! Microbenchmarks of the simulation hot path: the timer-wheel scheduler
 //! against the binary heap it replaced, batch slot drain against the
-//! per-event loop it replaced, kind-grouped dispatch against per-event
-//! dispatch, SoA column scans against record scans, the incremental
-//! routing index against the full admission scan, the incremental
-//! plan-cache signature against recomputing it from the free-slice list,
-//! and an end-to-end run that exercises every hot-path change at once.
+//! per-event loop it replaced, SoA column scans against record scans, the
+//! incremental routing index against the full admission scan, the
+//! incremental plan-cache signature against recomputing it from the
+//! free-slice list, and an end-to-end run that exercises every hot-path
+//! change at once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BinaryHeap;
@@ -21,7 +21,7 @@ use fluidfaas::plancache::{slice_signature, PlanCache};
 use fluidfaas::platform::events::InstanceId;
 use fluidfaas::platform::runner::run_platform;
 use fluidfaas::platform::slab::InstanceSlab;
-use fluidfaas::{FfsConfig, FluidFaaSSystem};
+use fluidfaas::{paper_policies, Engine, FfsConfig};
 
 // ---------------------------------------------------------------------
 // Wheel vs heap push/pop
@@ -211,149 +211,6 @@ fn bench_batch_drain(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------
-// Kind-grouped dispatch vs per-event dispatch
-// ---------------------------------------------------------------------
-
-/// The handler work both dispatch arms share: a tiny per-kind body plus
-/// the bursty follow-up push — the engine's dispatch shape without the
-/// platform state behind it.
-struct KindChurn {
-    remaining: usize,
-    rng: u64,
-    acc: u64,
-}
-
-impl KindChurn {
-    #[inline]
-    fn push(&mut self, ev: u32, sched: &mut Scheduler<u32>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            let d = bursty_delta(&mut self.rng);
-            sched.after(ffs_sim::SimDuration::from_micros(d), ev);
-        }
-    }
-
-    /// Per-event dispatch: one match per event.
-    #[inline]
-    fn step_one(&mut self, ev: u32, sched: &mut Scheduler<u32>) {
-        match ev % 4 {
-            0 => self.acc = self.acc.wrapping_add(1),
-            1 => self.acc = self.acc.wrapping_mul(3),
-            2 => self.acc ^= u64::from(ev),
-            _ => self.acc = self.acc.rotate_left(7),
-        }
-        self.push(ev, sched);
-    }
-}
-
-/// Kind-grouped: `kind_of` splits batches into homogeneous runs and
-/// `handle_run` matches the kind once, then runs a kind-specialized
-/// inner loop.
-struct GroupedChurn(KindChurn);
-
-impl World for GroupedChurn {
-    type Event = u32;
-
-    fn handle(&mut self, _t: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        self.0.step_one(ev, sched);
-    }
-
-    fn kind_of(&self, ev: &u32) -> u16 {
-        (ev % 4) as u16
-    }
-
-    fn handle_run(
-        &mut self,
-        _t: SimTime,
-        kind: u16,
-        run: std::vec::Drain<'_, u32>,
-        sched: &mut Scheduler<u32>,
-    ) {
-        let w = &mut self.0;
-        match kind {
-            0 => {
-                for ev in run {
-                    w.acc = w.acc.wrapping_add(1);
-                    w.push(ev, sched);
-                }
-            }
-            1 => {
-                for ev in run {
-                    w.acc = w.acc.wrapping_mul(3);
-                    w.push(ev, sched);
-                }
-            }
-            2 => {
-                for ev in run {
-                    w.acc ^= u64::from(ev);
-                    w.push(ev, sched);
-                }
-            }
-            _ => {
-                for ev in run {
-                    w.acc = w.acc.rotate_left(7);
-                    w.push(ev, sched);
-                }
-            }
-        }
-    }
-}
-
-/// Per-event: constant `kind_of` (the default), so `handle_run`'s default
-/// body calls `handle` — and its match — once per event.
-struct PerEventChurn(KindChurn);
-
-impl World for PerEventChurn {
-    type Event = u32;
-    fn handle(&mut self, _t: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        self.0.step_one(ev, sched);
-    }
-}
-
-/// Kind-grouped dispatch against per-event dispatch, inside the same
-/// batched drive loop. The programs are identical; the delta is the
-/// amortization — one kind match and one dispatch span per run instead of
-/// per event.
-fn bench_grouped_dispatch(c: &mut Criterion) {
-    let seeds: Vec<u64> = {
-        let mut x = SEED;
-        (0..PENDING)
-            .map(|_| (xorshift(&mut x) % 128) * 1_000)
-            .collect()
-    };
-    let churn = || KindChurn {
-        remaining: CHURN_OPS,
-        rng: SEED,
-        acc: 0,
-    };
-    let load = |s: &mut Scheduler<u32>| {
-        for (i, &t) in seeds.iter().enumerate() {
-            s.at(SimTime::from_micros(t), i as u32);
-        }
-    };
-    let mut g = c.benchmark_group("dispatch_bursty_1k_pending");
-    g.bench_function("kind_grouped", |b| {
-        b.iter(|| {
-            let mut w = GroupedChurn(churn());
-            let mut s: Scheduler<u32> = Scheduler::new();
-            load(&mut s);
-            run_until(&mut w, &mut s, SimTime::MAX);
-            black_box(w.0.acc)
-        })
-    });
-    g.bench_function("per_event", |b| {
-        b.iter(|| {
-            let mut w = PerEventChurn(churn());
-            let mut s: Scheduler<u32> = Scheduler::new();
-            load(&mut s);
-            run_until(&mut w, &mut s, SimTime::MAX);
-            black_box(w.0.acc)
-        })
-    });
-    g.finish();
-}
-
-// ---------------------------------------------------------------------
 // SoA column scan vs slab record scan
 // ---------------------------------------------------------------------
 
@@ -535,8 +392,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.bench_function("fluidfaas_light_60s", |b| {
         b.iter(|| {
             let cfg = FfsConfig::paper_default(WorkloadClass::Light);
-            let mut sys = FluidFaaSSystem::new(cfg, &trace);
-            let out = run_platform(&mut sys, &trace);
+            let policies = paper_policies(&cfg);
+            let mut engine = Engine::new(cfg, policies, &trace).expect("valid setup");
+            let out = run_platform(&mut engine, &trace);
             black_box(out.log.len())
         })
     });
@@ -547,7 +405,6 @@ criterion_group!(
     hotpath,
     bench_scheduler_push_pop,
     bench_batch_drain,
-    bench_grouped_dispatch,
     bench_soa_scan,
     bench_route_index,
     bench_plan_cache_hit,

@@ -122,8 +122,8 @@ impl FaultSpec {
     }
 }
 
-/// SplitMix64: tiny, high-quality, dependency-free PRNG (the vendored
-/// `rand` is an offline stub, so chaos rolls its own stream).
+/// SplitMix64: tiny, high-quality, dependency-free PRNG, so the chaos
+/// timeline owns a stream no other component draws from.
 #[derive(Clone, Debug)]
 struct SplitMix64(u64);
 

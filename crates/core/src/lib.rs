@@ -23,19 +23,20 @@
 //! baselines (`ffs-baselines`): request bookkeeping, the function catalog,
 //! the metrics hub, the trace runner, and the policy-driven event-loop
 //! engine ([`platform::engine`]) that every platform — FluidFaaS, the
-//! baselines, and the ablation arms — runs on. A platform is a
-//! [`platform::policy::PolicyBundle`] (router, shared-pool policy,
-//! autoscaler, migrator, placer) over that engine; see
+//! baselines, MQFQ-Sticky and the ablation arms — runs on. A platform is
+//! a [`platform::policy::PolicyBundle`] (router, shared-pool policy,
+//! autoscaler, migrator, placer) handed to [`Engine::new`]; see
 //! `docs/ARCHITECTURE.md` for the layering and how to add a policy.
 //!
 //! ```
-//! use fluidfaas::{FfsConfig, FluidFaaSSystem, platform::run_platform};
+//! use fluidfaas::{paper_policies, Engine, FfsConfig, platform::run_platform};
 //! use ffs_trace::{AzureTraceConfig, WorkloadClass};
 //!
 //! let cfg = FfsConfig::paper_default(WorkloadClass::Light);
 //! let trace = AzureTraceConfig::for_workload(WorkloadClass::Light, 30.0, 1).generate();
-//! let mut system = FluidFaaSSystem::new(cfg, &trace);
-//! let out = run_platform(&mut system, &trace);
+//! let policies = paper_policies(&cfg);
+//! let mut engine = Engine::new(cfg, policies, &trace).expect("valid setup");
+//! let out = run_platform(&mut engine, &trace);
 //! assert!(out.log.slo_hit_rate() > 0.5);
 //! ```
 
@@ -60,6 +61,6 @@ pub use platform::sharded::{
     run_output_digest, run_sharded, run_sharded_fluid, ShardRunStats, ShardSpec, ShardView,
 };
 pub use system::{
-    paper_policies, FluidAutoscaler, FluidFaaSSystem, FluidMigrator, FluidPlacer, FluidRouter,
-    FluidSharedPool, SchedulerLog,
+    paper_policies, FluidAutoscaler, FluidMigrator, FluidPlacer, FluidRouter, FluidSharedPool,
+    SchedulerLog,
 };

@@ -40,7 +40,7 @@ pub fn slice_signature(free: &[FreeSlice]) -> u64 {
 }
 
 /// Process-wide accumulation of plan-cache hits across every run that
-/// called [`note_run_stats`] (each `FluidFaaSSystem` owns its own cache;
+/// called [`note_run_stats`] (each engine owns its own cache;
 /// the harness surfaces the fleet-wide totals in its end-of-run summary).
 static PROCESS_HITS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide accumulation of plan-cache misses; see [`PROCESS_HITS`].

@@ -9,8 +9,9 @@
 //! every event is handled once here, and each *decision* (routing,
 //! overflow, scaling, eviction, migration) is delegated to the bundle.
 //!
-//! `FluidFaaSSystem` and the ESG / INFless baselines are thin wrappers
-//! that pick a bundle; they contain no event handling of their own.
+//! Every platform — FluidFaaS, the ESG / INFless baselines, MQFQ-Sticky
+//! and the ablation arms — is this engine built with a different bundle
+//! (`Engine::new(cfg, bundle, trace)`); none has an event loop of its own.
 
 use std::collections::VecDeque;
 
@@ -292,11 +293,6 @@ impl EngineCore {
     /// Number of live exclusive instances.
     pub fn instance_count(&self) -> usize {
         self.instances.len()
-    }
-
-    /// Number of live pipelined instances.
-    pub fn pipeline_instance_count(&self) -> usize {
-        self.pipeline_count
     }
 
     /// Precomputed monolithic (exec, handoff) split for `f` on `slice`.
@@ -1016,13 +1012,12 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Hot event handlers. One inherent method per hot variant so the
-    // `World::handle` match and the kind-homogeneous `handle_run` loops
-    // share one body. Routing is skipped (no span, no virtual call) when
-    // the function's backlog is empty: every router's dispatch loop is
-    // headed by `while pending[f].front()`, so an empty backlog makes the
-    // call side-effect-free — the skip cannot move an output bit, it only
-    // removes no-op RoutingScan spans from the profile.
+    // Hot event handlers, one inherent method per hot variant of the
+    // `World::handle` match. Routing is skipped (no span, no virtual call)
+    // when the function's backlog is empty: every router's dispatch loop
+    // is headed by `while pending[f].front()`, so an empty backlog makes
+    // the call side-effect-free — the skip cannot move an output bit, it
+    // only removes no-op RoutingScan spans from the profile.
     // ------------------------------------------------------------------
 
     #[inline]
@@ -1190,88 +1185,11 @@ impl World for Engine {
             ev => self.handle_control(now, ev, sched),
         }
     }
-
-    #[inline]
-    fn kind_of(&self, ev: &Event) -> u16 {
-        ev.kind_index()
-    }
-
-    /// Kind-specialized dispatch: the variant match runs once per run and
-    /// each hot arm is a tight loop over one already-known variant —
-    /// same-timestamp bursts (a pipeline's stage completions, an arrival
-    /// wave) no longer pay the 12-way dispatch per event. The cold control
-    /// variants share one kind and fall back to the per-event reference
-    /// path; every arm's per-event semantics are exactly [`World::handle`]'s
-    /// (pinned by the batch-equivalence property tests).
-    fn handle_run(
-        &mut self,
-        now: SimTime,
-        kind: u16,
-        run: std::vec::Drain<'_, Event>,
-        sched: &mut Scheduler<Event>,
-    ) {
-        match kind {
-            Event::KIND_ARRIVAL => {
-                for ev in run {
-                    let Event::Arrival(id) = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_arrival(now, id, sched);
-                }
-            }
-            Event::KIND_INSTANCE_READY => {
-                for ev in run {
-                    let Event::InstanceReady(id) = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_instance_ready(now, id, sched);
-                }
-            }
-            Event::KIND_STAGE_DONE => {
-                for ev in run {
-                    let Event::StageDone { inst, stage, req } = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_stage_done_event(now, inst, stage, req, sched);
-                }
-            }
-            Event::KIND_TRANSFER_DONE => {
-                for ev in run {
-                    let Event::TransferDone { inst, stage, req } = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_transfer_done(now, inst, stage, req, sched);
-                }
-            }
-            Event::KIND_SHARED_LOAD_DONE => {
-                for ev in run {
-                    let Event::SharedLoadDone { slot, req } = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_shared_load_done(now, slot, req, sched);
-                }
-            }
-            Event::KIND_SHARED_DONE => {
-                for ev in run {
-                    let Event::SharedDone { slot, req } = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_shared_done(now, slot, req, sched);
-                }
-            }
-            _ => {
-                for ev in run {
-                    self.handle(now, ev, sched);
-                }
-            }
-        }
-    }
 }
 
 impl Engine {
     /// The cold control variants (ticks, keep-alive sweeps, faults,
-    /// retries): rare enough that they share one dispatch kind and stay on
-    /// the per-event path.
+    /// retries).
     fn handle_control(&mut self, now: SimTime, ev: Event, sched: &mut Scheduler<Event>) {
         let Engine { core, policies } = self;
         match ev {
@@ -1476,8 +1394,8 @@ impl Engine {
                     .router
                     .dispatch(core, &*policies.shared, f, now, sched);
             }
-            // Hot variants go through `handle`/`handle_run` and never
-            // reach the control path.
+            // Hot variants are matched in `handle` and never reach the
+            // control path.
             _ => unreachable!("handle_control received a hot event"),
         }
     }

@@ -7,20 +7,17 @@
 
 use ffs_mig::NodeId;
 use ffs_pipeline::DeploymentPlan;
-use ffs_sim::{Scheduler, SimDuration, SimTime, World};
-use ffs_trace::Trace;
+use ffs_sim::{Scheduler, SimDuration, SimTime};
 
 use crate::config::{FfsConfig, ScalingPolicy};
 use crate::keepalive::{KeepAliveState, Transition};
-use crate::platform::catalog::{FuncId, FunctionCatalog};
-use crate::platform::engine::{sref, Engine, EngineCore, EngineError, MAX_LAUNCHES_PER_TICK};
+use crate::platform::catalog::FuncId;
+use crate::platform::engine::{sref, EngineCore, MAX_LAUNCHES_PER_TICK};
 use crate::platform::events::{Event, InstanceId};
-use crate::platform::hub::MetricsHub;
 use crate::platform::policy::{
     lowest_latency_instance, route_to_instance, should_overflow_to_shared, Autoscaler, Migrator,
     NoMigrator, NoSharedPool, Placer, PolicyBundle, Router, SharedPoolPolicy,
 };
-use crate::platform::runner::Platform;
 
 pub use crate::platform::engine::SchedulerLog;
 
@@ -588,172 +585,23 @@ pub fn paper_policies(cfg: &FfsConfig) -> PolicyBundle {
     }
 }
 
-/// The FluidFaaS serverless platform over a simulated MIG fleet: the
-/// shared engine driven by [`paper_policies`].
-pub struct FluidFaaSSystem {
-    engine: Engine,
-}
-
-impl FluidFaaSSystem {
-    /// Builds the platform for a config and the trace it will serve.
-    ///
-    /// # Panics
-    /// Panics if the config's partition scheme is invalid or the trace
-    /// invokes an unknown app; use [`FluidFaaSSystem::try_new`] to handle
-    /// those as errors.
-    pub fn new(cfg: FfsConfig, trace: &Trace) -> Self {
-        Self::try_new(cfg, trace).unwrap_or_else(|e| panic!("invalid FluidFaaS setup: {e}"))
-    }
-
-    /// Fallible constructor: builds the platform or reports why the
-    /// config/trace pair cannot be served.
-    pub fn try_new(cfg: FfsConfig, trace: &Trace) -> Result<Self, EngineError> {
-        let policies = paper_policies(&cfg);
-        Self::with_policies(cfg, policies, trace)
-    }
-
-    /// Builds the platform with an explicit policy bundle (ablations swap
-    /// individual policies here instead of toggling config booleans).
-    pub fn with_policies(
-        cfg: FfsConfig,
-        policies: PolicyBundle,
-        trace: &Trace,
-    ) -> Result<Self, EngineError> {
-        Ok(FluidFaaSSystem {
-            engine: Engine::new(cfg, policies, trace)?,
-        })
-    }
-
-    /// The function catalog.
-    pub fn catalog(&self) -> &FunctionCatalog {
-        &self.engine.core.catalog
-    }
-
-    /// Number of live exclusive instances (testing / introspection).
-    pub fn instance_count(&self) -> usize {
-        self.engine.core.instance_count()
-    }
-
-    /// Number of live pipelined instances.
-    pub fn pipeline_instance_count(&self) -> usize {
-        self.engine.core.pipeline_instance_count()
-    }
-
-    /// The shared (time-sharing) pool size.
-    pub fn shared_slot_count(&self) -> usize {
-        self.engine.core.pool.len()
-    }
-
-    /// Keep-alive state of a function's time-sharing lineage.
-    pub fn keepalive_of(&self, f: FuncId) -> KeepAliveState {
-        self.engine.core.ka[f]
-    }
-
-    /// Largest number of concurrent exclusive instances seen.
-    pub fn peak_instances(&self) -> usize {
-        self.engine.core.peak_instances
-    }
-
-    /// Largest number of concurrent pipelined instances seen.
-    pub fn peak_pipelines(&self) -> usize {
-        self.engine.core.peak_pipelines
-    }
-
-    /// The scheduler's decision counters for this run.
-    pub fn scheduler_log(&self) -> SchedulerLog {
-        self.engine.core.sched_log
-    }
-
-    /// Launch-plan cache counters `(hits, misses)` for this run.
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        (
-            self.engine.core.plan_cache.hits(),
-            self.engine.core.plan_cache.misses(),
-        )
-    }
-
-    /// Introspection: one row per live exclusive instance —
-    /// `(id, function, ready, stages, last_used)`.
-    pub fn instance_summaries(&self) -> Vec<(u64, FuncId, bool, usize, SimTime)> {
-        self.engine
-            .core
-            .instances
-            .values()
-            .map(|i| {
-                (
-                    i.id.0,
-                    i.func,
-                    i.is_ready(),
-                    i.plan.num_stages(),
-                    i.last_used,
-                )
-            })
-            .collect()
-    }
-
-    /// Introspection: the current demand estimate (req/s) per function.
-    pub fn demand_estimates(&self) -> Vec<f64> {
-        self.engine.core.demand_rps.clone()
-    }
-
-    /// Introspection: current backlog length per function.
-    pub fn pending_lens(&self) -> Vec<usize> {
-        self.engine.core.pending.iter().map(|q| q.len()).collect()
-    }
-
-    /// How completed requests were served:
-    /// `(monolithic, pipelined, time_shared)` counts.
-    pub fn serve_mix(&self) -> (usize, usize, usize) {
-        self.engine.core.serve_mix()
-    }
-}
-
-impl World for FluidFaaSSystem {
-    type Event = Event;
-
-    fn handle(&mut self, now: SimTime, ev: Event, sched: &mut Scheduler<Event>) {
-        self.engine.handle(now, ev, sched)
-    }
-}
-
-impl Platform for FluidFaaSSystem {
-    fn drain(&self) -> SimDuration {
-        self.engine.drain()
-    }
-
-    fn finalize(&mut self, end: SimTime) {
-        self.engine.finalize(end)
-    }
-
-    fn take_hub(&mut self) -> MetricsHub {
-        self.engine.take_hub()
-    }
-
-    fn num_gpus(&self) -> usize {
-        self.engine.num_gpus()
-    }
-
-    fn slices_per_gpu(&self) -> usize {
-        self.engine.slices_per_gpu()
-    }
-
-    fn fault_stats(&self) -> crate::platform::FaultStats {
-        self.engine.fault_stats()
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::platform::engine::Engine;
     use crate::platform::runner::run_platform;
-    use ffs_trace::{AzureTraceConfig, WorkloadClass};
+    use ffs_trace::{AzureTraceConfig, Trace, WorkloadClass};
+
+    fn paper_engine(cfg: FfsConfig, trace: &Trace) -> Engine {
+        let policies = paper_policies(&cfg);
+        Engine::new(cfg, policies, trace).unwrap()
+    }
 
     fn run(workload: WorkloadClass, secs: f64, seed: u64) -> crate::platform::runner::RunOutput {
         let cfg = FfsConfig::paper_default(workload);
         let trace = AzureTraceConfig::for_workload(workload, secs, seed).generate();
-        let mut sys = FluidFaaSSystem::new(cfg, &trace);
-        run_platform(&mut sys, &trace)
+        run_platform(&mut paper_engine(cfg, &trace), &trace)
     }
 
     #[test]
@@ -799,10 +647,10 @@ mod tests {
         // to observe the release path.
         cfg.exclusive_idle_grace = ffs_sim::SimDuration::from_secs(15);
         let trace = AzureTraceConfig::steady(WorkloadClass::Light.apps(), 30.0, 20.0, 5).generate();
-        let mut sys = FluidFaaSSystem::new(cfg, &trace);
+        let mut sys = paper_engine(cfg, &trace);
         let out = run_platform(&mut sys, &trace);
         // After the drain window everything idle demotes and releases.
-        assert_eq!(sys.engine.core.fleet.allocated_gpcs(), sys_pool_gpcs(&sys));
+        assert_eq!(sys.core.fleet.allocated_gpcs(), sys_pool_gpcs(&sys));
         assert!(out.log.slo_hit_rate() > 0.8);
     }
 
@@ -810,9 +658,9 @@ mod tests {
     fn serve_mix_tracks_paths() {
         let cfg = FfsConfig::paper_default(WorkloadClass::Heavy);
         let trace = AzureTraceConfig::for_workload(WorkloadClass::Heavy, 60.0, 4).generate();
-        let mut sys = FluidFaaSSystem::new(cfg, &trace);
+        let mut sys = paper_engine(cfg, &trace);
         let _ = run_platform(&mut sys, &trace);
-        let (mono, pipe, shared) = sys.serve_mix();
+        let (mono, pipe, shared) = sys.core.serve_mix();
         assert!(mono > 0, "4g monoliths serve requests");
         assert!(pipe > 0, "fragment pipelines serve requests");
         let _ = shared;
@@ -823,27 +671,26 @@ mod tests {
         // Heavy: pipelines must launch; light: none.
         let cfg = FfsConfig::paper_default(WorkloadClass::Heavy);
         let trace = AzureTraceConfig::for_workload(WorkloadClass::Heavy, 60.0, 4).generate();
-        let mut sys = FluidFaaSSystem::new(cfg, &trace);
+        let mut sys = paper_engine(cfg, &trace);
         let _ = run_platform(&mut sys, &trace);
-        let log = sys.scheduler_log();
+        let log = sys.core.sched_log;
         assert!(log.launches > 0);
         assert!(log.pipeline_launches > 0, "{log:?}");
         assert!(log.pipeline_launches <= log.launches);
 
         let cfg = FfsConfig::paper_default(WorkloadClass::Light);
         let trace = AzureTraceConfig::for_workload(WorkloadClass::Light, 60.0, 4).generate();
-        let mut sys = FluidFaaSSystem::new(cfg, &trace);
+        let mut sys = paper_engine(cfg, &trace);
         let _ = run_platform(&mut sys, &trace);
-        let log = sys.scheduler_log();
+        let log = sys.core.sched_log;
         assert_eq!(log.pipeline_launches, 0, "{log:?}");
         assert!(log.launches > 0);
         // The drain window demotes idle instances.
         assert!(log.retirements > 0, "{log:?}");
     }
 
-    fn sys_pool_gpcs(sys: &FluidFaaSSystem) -> u32 {
-        sys.engine
-            .core
+    fn sys_pool_gpcs(sys: &Engine) -> u32 {
+        sys.core
             .pool
             .slots()
             .iter()
@@ -855,14 +702,14 @@ mod tests {
     fn cold_function_transitions_through_fig8() {
         let cfg = FfsConfig::paper_default(WorkloadClass::Light);
         let trace = AzureTraceConfig::for_workload(WorkloadClass::Light, 20.0, 9).generate();
-        let mut sys = FluidFaaSSystem::new(cfg, &trace);
-        for f in sys.catalog().ids() {
-            assert_eq!(sys.keepalive_of(f), KeepAliveState::Cold);
+        let mut sys = paper_engine(cfg, &trace);
+        for f in sys.core.catalog.ids() {
+            assert_eq!(sys.core.ka[f], KeepAliveState::Cold);
         }
         let _ = run_platform(&mut sys, &trace);
         // After the run every lineage must be in a legal state.
-        for f in sys.catalog().ids() {
-            let s = sys.keepalive_of(f);
+        for f in sys.core.catalog.ids() {
+            let s = sys.core.ka[f];
             assert!(
                 matches!(
                     s,

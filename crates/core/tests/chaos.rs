@@ -14,7 +14,7 @@ use ffs_obs::{ObsEvent, Recorder, Recording};
 use ffs_sim::SimDuration;
 use ffs_trace::{AzureTraceConfig, Trace, WorkloadClass};
 use fluidfaas::platform::runner::{run_platform, FaultStats, RunOutput};
-use fluidfaas::{FaultSpec, FfsConfig, FluidFaaSSystem};
+use fluidfaas::{paper_policies, Engine, FaultSpec, FfsConfig};
 
 /// The obs enable flag is process-wide; serialize the tests that use it
 /// (and the fault-free clamp check, which reads a global counter).
@@ -25,8 +25,9 @@ fn small_trace(secs: f64) -> Trace {
 }
 
 fn run(cfg: FfsConfig, trace: &Trace) -> RunOutput {
-    let mut sys = FluidFaaSSystem::new(cfg, trace);
-    run_platform(&mut sys, trace)
+    let policies = paper_policies(&cfg);
+    let mut engine = Engine::new(cfg, policies, trace).expect("valid setup");
+    run_platform(&mut engine, trace)
 }
 
 fn with_recorder<R>(f: impl FnOnce() -> R) -> (R, Recording) {

@@ -14,7 +14,7 @@ use fluidfaas::KeepAliveState::{self, Cold, ExclusiveHot, TimeSharing, Warm};
 use fluidfaas::Transition::{
     self, Evicted, IdleTimeout, RequestArrived, UtilizationHigh, UtilizationLow,
 };
-use fluidfaas::{FfsConfig, FluidFaaSSystem};
+use fluidfaas::{paper_policies, Engine, FfsConfig};
 
 /// The global enable flag is process-wide state; serialize the tests.
 static LOCK: Mutex<()> = Mutex::new(());
@@ -110,8 +110,9 @@ fn sim_evictions_carry_the_correct_reason() {
     cfg.keep_alive = SimDuration::from_secs(20);
     let trace = AzureTraceConfig::steady(WorkloadClass::Light.apps(), 60.0, 10.0, 5).generate();
     let ((), recording) = with_recorder(|| {
-        let mut sys = FluidFaaSSystem::new(cfg, &trace);
-        let _ = run_platform(&mut sys, &trace);
+        let policies = paper_policies(&cfg);
+        let mut engine = Engine::new(cfg, policies, &trace).expect("valid setup");
+        let _ = run_platform(&mut engine, &trace);
     });
 
     let mut contention = 0u64;

@@ -11,7 +11,9 @@ use ffs_trace::{
     partition_trace, AzureTraceConfig, Invocation, ScaleTraceConfig, Trace, WorkloadClass,
 };
 use fluidfaas::platform::run_platform;
-use fluidfaas::{run_output_digest, run_sharded_fluid, FfsConfig, FluidFaaSSystem, ShardSpec};
+use fluidfaas::{
+    paper_policies, run_output_digest, run_sharded_fluid, Engine, FfsConfig, ShardSpec,
+};
 
 /// A 1-cell sharded run is the solo engine with extra steps — the epoch
 /// loop must telescope into one `run_until` and reproduce `run_platform`
@@ -21,8 +23,9 @@ fn one_cell_run_matches_run_platform() {
     for workload in [WorkloadClass::Light, WorkloadClass::Medium] {
         let cfg = FfsConfig::paper_default(workload);
         let trace = AzureTraceConfig::for_workload(workload, 30.0, 7).generate();
-        let mut system = FluidFaaSSystem::new(cfg.clone(), &trace);
-        let solo = run_platform(&mut system, &trace);
+        let mut engine =
+            Engine::new(cfg.clone(), paper_policies(&cfg), &trace).expect("valid setup");
+        let solo = run_platform(&mut engine, &trace);
         let (sharded, stats) =
             run_sharded_fluid(&cfg, partition_trace(&trace, 1), &ShardSpec::new(1, 1))
                 .expect("1-cell run");
@@ -106,6 +109,38 @@ fn repeated_sharded_runs_agree() {
         run_output_digest(&out)
     };
     assert_eq!(digest(0), digest(1));
+}
+
+/// Multi-cell sharded runs against digests recorded before the engine's
+/// batch dispatch was collapsed to one per-event loop. Cells call
+/// `run_until` on the engine directly (there is no platform wrapper in
+/// between), so these pin the sharded path's output across refactors of
+/// the event loop, not just its lane invariance. The overload case fires
+/// same-timestamp arrival bursts and cross-cell forwards.
+#[test]
+fn multi_cell_runs_match_golden_digests() {
+    let mut medium = FfsConfig::paper_default(WorkloadClass::Medium);
+    medium.nodes = 4;
+    medium.gpus_per_node = 4;
+    let trace = AzureTraceConfig::for_workload(WorkloadClass::Medium, 20.0, 6).generate();
+    let medium_cells = partition_trace(&trace, 4);
+    let (overload, overload_cells) = overload_traces(48);
+    let cases = [
+        (&medium, medium_cells, 0xa393_f10d_6934_e285_u64),
+        (&overload, overload_cells, 0xbe66_9cc9_aaa0_bbdf),
+    ];
+    for (cfg, cells, golden) in cases {
+        let n = cells.len();
+        for lanes in [1usize, 2] {
+            let (out, _) = run_sharded_fluid(cfg, cells.clone(), &ShardSpec::new(n, lanes))
+                .expect("sharded run");
+            assert_eq!(
+                run_output_digest(&out),
+                golden,
+                "{n}-cell run on {lanes} lanes moved off its golden digest"
+            );
+        }
+    }
 }
 
 /// Builds a two-cell scenario that actually forwards: cell 0 gets a

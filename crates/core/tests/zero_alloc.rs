@@ -19,7 +19,7 @@ use ffs_trace::{AzureTraceConfig, Trace, WorkloadClass};
 use fluidfaas::platform::arena::{arena_stats, pooled_capacity};
 use fluidfaas::platform::events::Event;
 use fluidfaas::platform::run_platform;
-use fluidfaas::{FfsConfig, FluidFaaSSystem};
+use fluidfaas::{paper_policies, Engine, FfsConfig};
 
 /// Allocation events observed while the current thread is in a measured
 /// window. Thread-scoped via the `COUNTING` flag so harness threads and
@@ -85,7 +85,8 @@ fn steady_state_events_do_not_allocate() {
     // without touching the shared pool or the planner.
     let trace = AzureTraceConfig::steady(vec![App::ImageClassification], 8.0, 40.0, 11).generate();
     let cfg = FfsConfig::test_small(WorkloadClass::Light);
-    let mut sys = FluidFaaSSystem::new(cfg, &trace);
+    let policies = paper_policies(&cfg);
+    let mut sys = Engine::new(cfg, policies, &trace).expect("valid setup");
 
     let mut sched: Scheduler<Event> = Scheduler::new();
     sched.preload_sorted(
@@ -128,7 +129,8 @@ fn arena_reaches_zero_growth_after_warmup() {
     let trace = AzureTraceConfig::steady(vec![App::ImageClassification], 8.0, 20.0, 17).generate();
     let one_run = |trace: &Trace| {
         let cfg = FfsConfig::test_small(WorkloadClass::Light);
-        let mut sys = FluidFaaSSystem::new(cfg, trace);
+        let policies = paper_policies(&cfg);
+        let mut sys = Engine::new(cfg, policies, trace).expect("valid setup");
         run_platform(&mut sys, trace)
     };
 

@@ -155,7 +155,7 @@ pub fn render(rows: &[AblationRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fluidfaas::FluidFaaSSystem;
+    use crate::runner::{run_system, SystemKind};
 
     #[test]
     fn full_system_at_least_matches_every_ablation() {
@@ -212,14 +212,13 @@ mod tests {
 
     /// A substituted bundle runs through the same engine entry point that
     /// config-built systems use: the `full` arm must equal the stock
-    /// `FluidFaaSSystem::new` output bit-for-bit.
+    /// `run_system(FluidFaaS, ..)` output bit-for-bit.
     #[test]
     fn full_arm_matches_config_built_system() {
         let cfg = FfsConfig::paper_default(WorkloadClass::Heavy);
         let trace = shared_workload_trace(WorkloadClass::Heavy, 30.0, 9);
         let via_bundle = run_fluid_with(cfg.clone(), full_bundle(), &trace);
-        let mut stock = FluidFaaSSystem::new(cfg, &trace);
-        let via_config = fluidfaas::platform::runner::run_platform(&mut stock, &trace);
+        let via_config = run_system(SystemKind::FluidFaaS, cfg, &trace);
         assert_eq!(
             via_bundle.log.slo_hit_rate().to_bits(),
             via_config.log.slo_hit_rate().to_bits()

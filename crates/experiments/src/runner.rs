@@ -3,10 +3,10 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use ffs_baselines::{BaselineKind, MonolithicSystem};
+use ffs_baselines::{baseline_policies, BaselineKind};
 use ffs_trace::{partition_trace, AzureTraceConfig, Trace, WorkloadClass};
 use fluidfaas::platform::runner::{run_platform, RunOutput};
-use fluidfaas::{run_sharded_fluid, FfsConfig, FluidFaaSSystem, ShardSpec};
+use fluidfaas::{paper_policies, run_sharded_fluid, Engine, FfsConfig, PolicyBundle, ShardSpec};
 
 /// Key of one generated trace: workload, duration bits, seed, and whether
 /// it is the saturating (steady) variant.
@@ -69,6 +69,15 @@ impl SystemKind {
             SystemKind::Infless => "INFless",
         }
     }
+
+    /// The policy bundle this system runs on the shared engine.
+    pub fn policies(self, cfg: &FfsConfig) -> PolicyBundle {
+        match self {
+            SystemKind::FluidFaaS => paper_policies(cfg),
+            SystemKind::Esg => baseline_policies(BaselineKind::Esg),
+            SystemKind::Infless => baseline_policies(BaselineKind::Infless),
+        }
+    }
 }
 
 /// Runs `kind` over `trace` with the given config. When tracing is active
@@ -76,25 +85,25 @@ impl SystemKind {
 /// recorder and exports its JSONL + Chrome trace artifacts on completion.
 pub fn run_system(kind: SystemKind, cfg: FfsConfig, trace: &Trace) -> RunOutput {
     let _trace = crate::trace_out::RunTrace::begin(kind.name());
-    match kind {
-        SystemKind::FluidFaaS => {
-            if trace.invocations.len() >= shard_threshold() {
-                if let Some(out) = run_fluid_sharded(&cfg, trace) {
-                    return out;
-                }
-            }
-            let mut sys = FluidFaaSSystem::new(cfg, trace);
-            run_platform(&mut sys, trace)
-        }
-        SystemKind::Esg => {
-            let mut sys = MonolithicSystem::new(BaselineKind::Esg, cfg, trace);
-            run_platform(&mut sys, trace)
-        }
-        SystemKind::Infless => {
-            let mut sys = MonolithicSystem::new(BaselineKind::Infless, cfg, trace);
-            run_platform(&mut sys, trace)
+    if kind == SystemKind::FluidFaaS && trace.invocations.len() >= shard_threshold() {
+        if let Some(out) = run_fluid_sharded(&cfg, trace) {
+            return out;
         }
     }
+    let policies = kind.policies(&cfg);
+    run_engine(kind, cfg, policies, trace)
+}
+
+/// Builds the shared engine with `policies` and drives it through `trace`.
+fn run_engine(
+    kind: SystemKind,
+    cfg: FfsConfig,
+    policies: PolicyBundle,
+    trace: &Trace,
+) -> RunOutput {
+    let mut engine = Engine::new(cfg, policies, trace)
+        .unwrap_or_else(|e| panic!("invalid {} setup: {e}", kind.name()));
+    run_platform(&mut engine, trace)
 }
 
 /// Invocation count at which [`run_system`] opts a FluidFaaS run into the
@@ -136,15 +145,9 @@ fn run_fluid_sharded(cfg: &FfsConfig, trace: &Trace) -> Option<RunOutput> {
 /// Runs the FluidFaaS engine with an explicit policy bundle (the ablation
 /// path: arms substitute policies instead of toggling config flags). Trace
 /// artifacts are recorded exactly as for [`run_system`].
-pub fn run_fluid_with(
-    cfg: FfsConfig,
-    policies: fluidfaas::PolicyBundle,
-    trace: &Trace,
-) -> RunOutput {
+pub fn run_fluid_with(cfg: FfsConfig, policies: PolicyBundle, trace: &Trace) -> RunOutput {
     let _trace = crate::trace_out::RunTrace::begin(SystemKind::FluidFaaS.name());
-    let mut sys = FluidFaaSSystem::with_policies(cfg, policies, trace)
-        .unwrap_or_else(|e| panic!("invalid FluidFaaS setup: {e}"));
-    run_platform(&mut sys, trace)
+    run_engine(SystemKind::FluidFaaS, cfg, policies, trace)
 }
 
 /// Runs a system on the paper-default fleet with the bursty Azure-style

@@ -164,8 +164,8 @@ fn telemetry_does_not_perturb_simulation_output() {
 }
 
 // ---------------------------------------------------------------------
-// Golden captures taken at the pre-refactor commit (monolithic
-// `FluidFaaSSystem` + `MonolithicSystem` event loops). The engine/policy
+// Golden captures taken before the engine/policy refactor, when FluidFaaS
+// and each baseline still ran its own monolithic event loop. Every later
 // refactor must reproduce these byte-for-byte: float metrics are compared
 // as raw bit patterns, so even sub-ulp drift fails.
 // ---------------------------------------------------------------------

@@ -19,12 +19,10 @@
 //! not change its output.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 /// How a stage's synthetic kernel burns its service time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,11 +143,11 @@ struct Envelope {
 /// A running pipeline: worker threads connected by bounded channels.
 pub struct PipelineExecutor {
     specs: Vec<StageSpec>,
-    input: Option<Sender<Envelope>>,
+    input: Option<SyncSender<Envelope>>,
     output: Receiver<Envelope>,
     eviction: Vec<Arc<AtomicBool>>,
     workers: Vec<JoinHandle<()>>,
-    timings: Arc<Mutex<Vec<RequestTiming>>>,
+    timings: Mutex<Vec<RequestTiming>>,
     time_scale: f64,
     /// When the executor was spawned; trace timestamps for this live
     /// (wall-clock) runtime are microseconds since this instant.
@@ -174,21 +172,18 @@ impl PipelineExecutor {
         assert!(queue_cap >= 1);
 
         let n = specs.len();
-        let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(n + 1);
-        let mut receivers: Vec<Receiver<Envelope>> = Vec::with_capacity(n + 1);
-        for _ in 0..=n {
-            let (tx, rx) = bounded::<Envelope>(queue_cap);
-            senders.push(tx);
-            receivers.push(rx);
-        }
         let eviction: Vec<Arc<AtomicBool>> =
             (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-        let timings = Arc::new(Mutex::new(Vec::new()));
 
+        // Channel k feeds stage k; channel n is the completion queue. Each
+        // stage owns its receiver and the sender of the next channel, so a
+        // stage that exits closes its downstream channel and the closure
+        // cascades to the completion queue.
+        let (input, mut rx) = sync_channel::<Envelope>(queue_cap);
         let mut workers = Vec::with_capacity(n);
         for (i, spec) in specs.iter().enumerate() {
-            let rx = receivers[i].clone();
-            let tx = senders[i + 1].clone();
+            let (tx, next_rx) = sync_channel::<Envelope>(queue_cap);
+            let rx = std::mem::replace(&mut rx, next_rx);
             let evict = Arc::clone(&eviction[i]);
             let spec = spec.clone();
             let service = Duration::from_secs_f64(spec.service_ms / 1_000.0 * time_scale);
@@ -240,11 +235,11 @@ impl PipelineExecutor {
 
         PipelineExecutor {
             specs,
-            input: Some(senders[0].clone()),
-            output: receivers[n].clone(),
+            input: Some(input),
+            output: rx,
             eviction,
             workers,
-            timings,
+            timings: Mutex::new(Vec::new()),
             time_scale,
             spawned: Instant::now(),
         }
@@ -300,8 +295,14 @@ impl PipelineExecutor {
                 total_ms: timing.total.as_secs_f64() * 1e3,
             }
         });
-        self.timings.lock().push(timing);
+        self.timings_mut().push(timing);
         Ok((env.request_id, env.tensor))
+    }
+
+    /// The timings log. Only the owning thread touches it, so the lock is
+    /// never contended; a poisoned lock still holds a valid log.
+    fn timings_mut(&self) -> MutexGuard<'_, Vec<RequestTiming>> {
+        self.timings.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Raises the eviction flag of one stage (Listing 1's
@@ -324,7 +325,7 @@ impl PipelineExecutor {
 
     /// Timings of all requests received so far.
     pub fn timings(&self) -> Vec<RequestTiming> {
-        self.timings.lock().clone()
+        self.timings_mut().clone()
     }
 
     /// Shuts the pipeline down, draining in-flight requests, and joins the
@@ -334,8 +335,7 @@ impl PipelineExecutor {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        let t = self.timings.lock().clone();
-        t
+        std::mem::take(&mut *self.timings_mut())
     }
 }
 

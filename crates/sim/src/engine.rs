@@ -35,36 +35,6 @@ pub trait World {
 
     /// Handles one event at simulation time `now`.
     fn handle(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<Self::Event>);
-
-    /// Grouping key for kind-homogeneous dispatch: [`run_until`] splits
-    /// each same-timestamp batch into contiguous runs of equal kind and
-    /// hands each run to [`World::handle_run`] in one call. Must be a pure
-    /// function of the event (no world state), so grouping never changes
-    /// which handler sees which event. The default puts every event in one
-    /// kind, which makes grouped dispatch degenerate to the plain loop.
-    #[inline]
-    fn kind_of(&self, _ev: &Self::Event) -> u16 {
-        0
-    }
-
-    /// Handles a contiguous run of same-timestamp events that all share
-    /// `kind`. Worlds with a wide event alphabet override this to branch on
-    /// `kind` once per run instead of once per event. Implementations must
-    /// consume the whole iterator **in order** and treat each event exactly
-    /// as [`World::handle`] would — unconsumed events are silently dropped
-    /// when the `Drain` drops. The default is the per-event reference loop.
-    fn handle_run(
-        &mut self,
-        now: SimTime,
-        kind: u16,
-        run: std::vec::Drain<'_, Self::Event>,
-        sched: &mut Scheduler<Self::Event>,
-    ) {
-        let _ = kind;
-        for ev in run {
-            self.handle(now, ev, sched);
-        }
-    }
 }
 
 /// Process-wide count of events executed by [`run_until`] (all schedulers,
@@ -578,15 +548,6 @@ pub enum StopReason {
 /// moves — `(time, insertion-seq)` order is preserved exactly. The win is
 /// amortisation: one deadline probe, one clock update, one obs flush, and
 /// one bulk slot drain per timestamp instead of per event.
-///
-/// Within a batch, events are dispatched as contiguous *kind-homogeneous
-/// runs*: consecutive events with equal [`World::kind_of`] go to one
-/// [`World::handle_run`] call, letting the world branch on the event kind
-/// (and open its per-dispatch telemetry) once per run instead of once per
-/// event. Runs never reorder events — they are contiguous sub-slices of
-/// the batch, dispatched and consumed in batch order — so grouping is
-/// invisible to execution semantics (pinned by the batch-equivalence
-/// property tests).
 pub fn run_until<W: World>(
     world: &mut W,
     sched: &mut Scheduler<W::Event>,
@@ -597,9 +558,9 @@ pub fn run_until<W: World>(
         "run_until deadlines must be non-decreasing"
     );
     // Profile the wheel machinery (probe / cursor / batch extraction) as
-    // WheelDrain self-time; the per-run BatchDispatch child below
+    // WheelDrain self-time; the per-batch BatchDispatch child below
     // subtracts handler time out of it. One guard per call, one per
-    // run — never per event.
+    // batch — never per event.
     let _drain = ffs_telemetry::span(ffs_telemetry::Phase::WheelDrain);
     let telemetry = ffs_telemetry::enabled();
     let executed_at_entry = sched.executed;
@@ -639,30 +600,9 @@ pub fn run_until<W: World>(
         if telemetry {
             batch_events_hist().record(n as u64);
         }
-        // The overwhelmingly common case on µs-grained traces is a batch
-        // of one (arrival times rarely collide). Dispatch it straight
-        // through `handle` — by the trait contract identical to a
-        // one-event run — skipping the kind scan and `Drain` machinery,
-        // which cost more than they amortise on a single event.
-        if n == 1 {
-            let ev = batch.pop().expect("counted batch event");
-            let _dispatch = ffs_telemetry::span(ffs_telemetry::Phase::BatchDispatch);
+        let _dispatch = ffs_telemetry::span(ffs_telemetry::Phase::BatchDispatch);
+        for ev in batch.drain(..) {
             world.handle(at, ev, sched);
-            continue;
-        }
-        // Dispatch the batch front-to-back as kind-homogeneous runs.
-        // `drain(..len)` shifts the remainder to the front, so the run
-        // boundary scan always restarts at index 0; multi-kind batches are
-        // rare and small, so the shift cost is noise next to the saved
-        // per-event branching.
-        while !batch.is_empty() {
-            let kind = world.kind_of(&batch[0]);
-            let mut len = 1;
-            while len < batch.len() && world.kind_of(&batch[len]) == kind {
-                len += 1;
-            }
-            let _dispatch = ffs_telemetry::span(ffs_telemetry::Phase::BatchDispatch);
-            world.handle_run(at, kind, batch.drain(..len), sched);
         }
     };
     // Hand the (empty) scratch back so its capacity is retained. A handler

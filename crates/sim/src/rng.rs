@@ -1,13 +1,11 @@
 //! Deterministic, splittable random number generation.
 //!
-//! The `rand` crate's default generators do not guarantee a stable stream
-//! across versions, and sharing one generator between components makes the
-//! draw order (and thus the whole simulation) fragile to refactoring. This
-//! module provides [`SimRng`], a xoshiro256++ generator seeded through
-//! SplitMix64, with a [`SimRng::split`] operation so each component of the
-//! simulation owns an independent deterministic stream.
-
-use rand::RngCore;
+//! Sharing one generator between components makes the draw order (and
+//! thus the whole simulation) fragile to refactoring, and a third-party
+//! generator need not keep its stream stable across versions. This module
+//! provides [`SimRng`], a xoshiro256++ generator seeded through SplitMix64,
+//! with a [`SimRng::split`] operation so each component of the simulation
+//! owns an independent deterministic stream.
 
 /// SplitMix64 step, used for seeding and stream derivation.
 #[inline]
@@ -19,10 +17,9 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A deterministic xoshiro256++ random number generator.
-///
-/// Implements [`rand::RngCore`], so it composes with `rand_distr`
-/// distributions while keeping the byte stream under this crate's control.
+/// A deterministic xoshiro256++ random number generator. The workspace
+/// derives the distributions it samples from these raw draws (e.g.
+/// [`SimRng::exp`] by inverse transform).
 #[derive(Clone, Debug)]
 pub struct SimRng {
     s: [u64; 4],
@@ -128,33 +125,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_raw() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next_raw()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_raw().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -226,14 +196,6 @@ mod tests {
             (mean - 2.5).abs() < 0.05,
             "exp mean {mean} too far from 2.5"
         );
-    }
-
-    #[test]
-    fn fill_bytes_handles_unaligned_lengths() {
-        let mut r = SimRng::seed_from_u64(13);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

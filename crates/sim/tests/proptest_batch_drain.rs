@@ -85,59 +85,10 @@ impl Program {
     }
 }
 
-struct ProgramWorld(Program);
-
-impl World for ProgramWorld {
+impl World for Program {
     type Event = u32;
     fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        self.0.step(now, ev, sched);
-    }
-}
-
-/// The same program behind a nontrivial `kind_of`, so a multi-event batch
-/// splits into several kind-homogeneous runs (the default `kind_of` is
-/// constant and would hand `handle_run` the whole batch as one run). The
-/// custom `handle_run` checks the engine's run contract — every event in
-/// a run has the announced kind, runs are never empty — and counts events
-/// seen on each dispatch path (single-event batches bypass `handle_run`
-/// via the `handle` fast path), while delegating every event to the same
-/// `step` as the reference world, so the observable log must stay
-/// byte-identical to the per-event loop.
-struct KindedWorld {
-    program: Program,
-    runs: u64,
-    run_events: u64,
-    single_events: u64,
-}
-
-impl World for KindedWorld {
-    type Event = u32;
-
-    fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        self.single_events += 1;
-        self.program.step(now, ev, sched);
-    }
-
-    fn kind_of(&self, ev: &u32) -> u16 {
-        (ev % 3) as u16
-    }
-
-    fn handle_run(
-        &mut self,
-        now: SimTime,
-        kind: u16,
-        run: std::vec::Drain<'_, u32>,
-        sched: &mut Scheduler<u32>,
-    ) {
-        self.runs += 1;
-        let mut len = 0u64;
-        for ev in run {
-            assert_eq!((ev % 3) as u16, kind, "run is not kind-homogeneous");
-            len += 1;
-            self.program.step(now, ev, sched);
-        }
-        assert!(len >= 1, "handle_run called with an empty run");
-        self.run_events += len;
+        self.step(now, ev, sched);
     }
 }
 
@@ -183,55 +134,18 @@ proptest! {
         cancels in proptest::collection::vec((arb_time(), 0usize..32), 0..10),
     ) {
         let (mut batched, mut stepwise) = load(&victims, &cancels);
-        let mut wb = ProgramWorld(Program::new());
-        let mut ws = ProgramWorld(Program::new());
+        let mut wb = Program::new();
+        let mut ws = Program::new();
         let sb = run_until(&mut wb, &mut batched, SimTime::MAX);
         let ss = run_until_stepwise(&mut ws, &mut stepwise, SimTime::MAX);
         prop_assert_eq!(sb, ss);
         prop_assert_eq!(sb, StopReason::QueueEmpty);
-        prop_assert_eq!(&wb.0.log, &ws.0.log);
-        prop_assert_eq!(&wb.0.tomb, &ws.0.tomb);
+        prop_assert_eq!(&wb.log, &ws.log);
+        prop_assert_eq!(&wb.tomb, &ws.tomb);
         prop_assert_eq!(batched.now(), stepwise.now());
         prop_assert_eq!(batched.pending(), 0);
         prop_assert_eq!(stepwise.pending(), 0);
         prop_assert_eq!(batched.clamps(), stepwise.clamps());
-    }
-
-    /// Kind-grouped dispatch (nontrivial `kind_of`, custom `handle_run`)
-    /// stays byte-identical to the per-event loop: splitting batches into
-    /// homogeneous runs changes how events are *handed over*, never the
-    /// order they execute in.
-    #[test]
-    fn kinded_dispatch_matches_stepwise(
-        victims in proptest::collection::vec(arb_time(), 1..32),
-        cancels in proptest::collection::vec((arb_time(), 0usize..32), 0..10),
-    ) {
-        let (mut batched, mut stepwise) = load(&victims, &cancels);
-        let mut wb = KindedWorld {
-            program: Program::new(),
-            runs: 0,
-            run_events: 0,
-            single_events: 0,
-        };
-        let mut ws = ProgramWorld(Program::new());
-        let sb = run_until(&mut wb, &mut batched, SimTime::MAX);
-        let ss = run_until_stepwise(&mut ws, &mut stepwise, SimTime::MAX);
-        prop_assert_eq!(sb, ss);
-        prop_assert_eq!(&wb.program.log, &ws.0.log);
-        prop_assert_eq!(&wb.program.tomb, &ws.0.tomb);
-        prop_assert_eq!(batched.now(), stepwise.now());
-        prop_assert_eq!(batched.pending(), 0);
-        prop_assert_eq!(batched.clamps(), stepwise.clamps());
-        // Every executed event went through exactly one dispatch path:
-        // singleton batches via `handle`, multi-event batches via
-        // kind-homogeneous `handle_run` calls (so runs never outnumber
-        // run events, and each run holds >= 2 events on average only if
-        // batches do — the per-run minimum of 1 is asserted inline).
-        prop_assert_eq!(
-            wb.run_events + wb.single_events,
-            wb.program.log.len() as u64
-        );
-        prop_assert!(wb.runs <= wb.run_events);
     }
 
     /// Segmented runs agree at every deadline, including deadlines placed
@@ -252,14 +166,14 @@ proptest! {
         deadlines.sort_unstable();
 
         let (mut batched, mut stepwise) = load(&victims, &cancels);
-        let mut wb = ProgramWorld(Program::new());
-        let mut ws = ProgramWorld(Program::new());
+        let mut wb = Program::new();
+        let mut ws = Program::new();
         for (k, &until) in deadlines.iter().enumerate() {
             let until = SimTime::from_micros(until);
             let sb = run_until(&mut wb, &mut batched, until);
             let ss = run_until_stepwise(&mut ws, &mut stepwise, until);
             prop_assert_eq!(sb, ss, "stop reason diverged at deadline {}", k);
-            prop_assert_eq!(&wb.0.log, &ws.0.log);
+            prop_assert_eq!(&wb.log, &ws.log);
             prop_assert_eq!(batched.now(), stepwise.now());
             prop_assert_eq!(batched.pending(), stepwise.pending());
             // Interleave a push between segments; past times clamp to now
@@ -272,8 +186,8 @@ proptest! {
         let sb = run_until(&mut wb, &mut batched, SimTime::MAX);
         let ss = run_until_stepwise(&mut ws, &mut stepwise, SimTime::MAX);
         prop_assert_eq!(sb, ss);
-        prop_assert_eq!(&wb.0.log, &ws.0.log);
-        prop_assert_eq!(&wb.0.tomb, &ws.0.tomb);
+        prop_assert_eq!(&wb.log, &ws.log);
+        prop_assert_eq!(&wb.tomb, &ws.tomb);
         prop_assert_eq!(batched.pending(), 0);
         prop_assert_eq!(stepwise.pending(), 0);
         prop_assert_eq!(batched.clamps(), stepwise.clamps());

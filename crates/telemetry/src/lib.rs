@@ -79,12 +79,24 @@ pub fn set_enabled(on: bool) {
     STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }
 
+/// Serialises the unit tests that flip the process-wide enable flag or
+/// reset and read the merged profile, so they stay deterministic under
+/// parallel test threads. A panicking test must not cascade into the
+/// others, so a poisoned lock is simply taken over.
+#[cfg(test)]
+pub(crate) fn serial_test() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn enabled_toggle_round_trips() {
+        let _serial = serial_test();
         set_enabled(true);
         assert!(enabled());
         set_enabled(false);

@@ -9,7 +9,7 @@
 //! ```
 
 use fluidfaas_repro::fluidfaas::platform::runner::run_platform;
-use fluidfaas_repro::fluidfaas::{FfsConfig, FluidFaaSSystem};
+use fluidfaas_repro::fluidfaas::{paper_policies, Engine, FfsConfig};
 use fluidfaas_repro::profile::App;
 use fluidfaas_repro::trace::{parse_csv, to_trace, WorkloadClass};
 
@@ -56,8 +56,9 @@ fn main() {
     );
 
     let cfg = FfsConfig::paper_default(WorkloadClass::Light);
-    let mut sys = FluidFaaSSystem::new(cfg, &trace);
-    let out = run_platform(&mut sys, &trace);
+    let policies = paper_policies(&cfg);
+    let mut engine = Engine::new(cfg, policies, &trace).expect("valid setup");
+    let out = run_platform(&mut engine, &trace);
     let cdf = out.latency_cdf();
     println!(
         "\nFluidFaaS served the trace: SLO hit rate {:.1}%, p50 {:.0} ms, p95 {:.0} ms",
@@ -65,5 +66,5 @@ fn main() {
         cdf.p50().unwrap_or(0.0),
         cdf.p95().unwrap_or(0.0),
     );
-    println!("scheduler activity: {:?}", sys.scheduler_log());
+    println!("scheduler activity: {:?}", engine.core.sched_log);
 }

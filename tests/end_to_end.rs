@@ -3,8 +3,14 @@
 
 use fluidfaas_repro::experiments::runner::{run_workload, SystemKind};
 use fluidfaas_repro::fluidfaas::platform::runner::run_platform;
-use fluidfaas_repro::fluidfaas::{FfsConfig, FluidFaaSSystem};
-use fluidfaas_repro::trace::{AzureTraceConfig, WorkloadClass};
+use fluidfaas_repro::fluidfaas::{paper_policies, Engine, FfsConfig};
+use fluidfaas_repro::trace::{AzureTraceConfig, Trace, WorkloadClass};
+
+/// The shared engine with the paper's FluidFaaS policies.
+fn paper_engine(cfg: FfsConfig, trace: &Trace) -> Engine {
+    let policies = paper_policies(&cfg);
+    Engine::new(cfg, policies, trace).expect("valid setup")
+}
 
 #[test]
 fn medium_workload_fluidfaas_beats_esg_on_slo() {
@@ -108,17 +114,20 @@ fn pipelines_only_form_when_fragments_are_the_only_option() {
     // Light: every function fits every slice monolithically; no pipelines.
     let cfg = FfsConfig::paper_default(WorkloadClass::Light);
     let trace = AzureTraceConfig::for_workload(WorkloadClass::Light, 60.0, 5).generate();
-    let mut sys = FluidFaaSSystem::new(cfg, &trace);
+    let mut sys = paper_engine(cfg, &trace);
     let _ = run_platform(&mut sys, &trace);
-    assert_eq!(sys.peak_pipelines(), 0, "light workload needs no pipelines");
+    assert_eq!(
+        sys.core.peak_pipelines, 0,
+        "light workload needs no pipelines"
+    );
 
     // Heavy: monoliths only fit 4g slices; pipelines must appear.
     let cfg = FfsConfig::paper_default(WorkloadClass::Heavy);
     let trace = AzureTraceConfig::for_workload(WorkloadClass::Heavy, 90.0, 5).generate();
-    let mut sys = FluidFaaSSystem::new(cfg, &trace);
+    let mut sys = paper_engine(cfg, &trace);
     let _ = run_platform(&mut sys, &trace);
     assert!(
-        sys.peak_pipelines() > 0,
+        sys.core.peak_pipelines > 0,
         "heavy workload must build pipelines"
     );
 }
@@ -130,11 +139,11 @@ fn drained_fleet_releases_exclusive_resources() {
     cfg.exclusive_idle_grace = fluidfaas_repro::sim::SimDuration::from_secs(15);
     // A trace that stops early, followed by the drain window.
     let trace = AzureTraceConfig::steady(WorkloadClass::Light.apps(), 20.0, 5.0, 9).generate();
-    let mut sys = FluidFaaSSystem::new(cfg, &trace);
+    let mut sys = paper_engine(cfg, &trace);
     let out = run_platform(&mut sys, &trace);
     assert!(out.log.slo_hit_rate() > 0.5);
     // After draining, only time-sharing pool slices may remain allocated
     // (they are reclaimed by the 10-minute keep-alive, which the short run
     // does not reach).
-    assert_eq!(sys.instance_count(), 0, "exclusive instances retired");
+    assert_eq!(sys.core.instance_count(), 0, "exclusive instances retired");
 }

@@ -4,8 +4,14 @@
 //! gets served.
 
 use fluidfaas_repro::fluidfaas::platform::runner::run_platform;
-use fluidfaas_repro::fluidfaas::{FfsConfig, FluidFaaSSystem};
-use fluidfaas_repro::trace::{AzureTraceConfig, WorkloadClass};
+use fluidfaas_repro::fluidfaas::{paper_policies, Engine, FfsConfig};
+use fluidfaas_repro::trace::{AzureTraceConfig, Trace, WorkloadClass};
+
+/// The shared engine with the paper's FluidFaaS policies.
+fn paper_engine(cfg: FfsConfig, trace: &Trace) -> Engine {
+    let policies = paper_policies(&cfg);
+    Engine::new(cfg, policies, trace).expect("valid setup")
+}
 
 #[test]
 fn four_functions_share_one_gpu_through_eviction() {
@@ -16,7 +22,7 @@ fn four_functions_share_one_gpu_through_eviction() {
     cfg.nodes = 1;
     cfg.gpus_per_node = 1;
     let trace = AzureTraceConfig::steady(WorkloadClass::Medium.apps(), 180.0, 0.4, 3).generate();
-    let mut sys = FluidFaaSSystem::new(cfg, &trace);
+    let mut sys = paper_engine(cfg, &trace);
     let out = run_platform(&mut sys, &trace);
 
     // Every app must complete requests despite the scarcity.
@@ -31,13 +37,13 @@ fn four_functions_share_one_gpu_through_eviction() {
             served > 0,
             "App {} starved: {:?}",
             app.index(),
-            sys.scheduler_log()
+            sys.core.sched_log
         );
     }
 
     // The shared machinery actually engaged: reloads onto shared slices,
     // and (with several functions rotating through one slot) evictions.
-    let log = sys.scheduler_log();
+    let log = sys.core.sched_log;
     assert!(log.reloads > 0, "{log:?}");
     assert!(log.evictions > 0, "{log:?}");
     // Demote-under-pressure retired lightly-used exclusive instances.
@@ -68,7 +74,7 @@ fn strong_isolation_is_never_violated() {
     cfg.nodes = 1;
     cfg.gpus_per_node = 1;
     let trace = AzureTraceConfig::for_workload(WorkloadClass::Light, 90.0, 5).generate();
-    let mut sys = FluidFaaSSystem::new(cfg, &trace);
+    let mut sys = paper_engine(cfg, &trace);
     let out = run_platform(&mut sys, &trace);
     assert_eq!(out.log.len(), trace.len());
 }
