@@ -1,6 +1,6 @@
 //! Microbenchmarks of the simulation hot path: the timer-wheel scheduler
 //! against the binary heap it replaced, batch slot drain against the
-//! per-event loop it replaced, SoA column scans against record scans, the
+//! per-event loop it replaced, scheduler set-up fresh against pooled, SoA column scans against record scans, the
 //! incremental routing index against the full admission scan, the
 //! incremental plan-cache signature against recomputing it from the
 //! free-slice list, and an end-to-end run that exercises every hot-path
@@ -18,7 +18,7 @@ use ffs_sim::{run_until, run_until_stepwise, Scheduler, SimTime, World};
 use ffs_trace::{AzureTraceConfig, WorkloadClass};
 use fluidfaas::instance::{Instance, Phase, StageTimings};
 use fluidfaas::plancache::{slice_signature, PlanCache};
-use fluidfaas::platform::events::InstanceId;
+use fluidfaas::platform::events::{Event, InstanceId};
 use fluidfaas::platform::runner::run_platform;
 use fluidfaas::platform::slab::InstanceSlab;
 use fluidfaas::{paper_policies, Engine, FfsConfig};
@@ -205,6 +205,39 @@ fn bench_batch_drain(c: &mut Criterion) {
             }
             run_until_stepwise(&mut w, &mut s, SimTime::MAX);
             black_box(s.now())
+        })
+    });
+    g.finish();
+}
+
+/// Per-run scheduler set-up: a fresh `Scheduler::new` (what a run or a
+/// sharded cell pays when the run arena's pool is empty) against `reset`
+/// of a pooled one. Both then load the same standing population, so the
+/// arms differ only in how the wheel is obtained and released.
+fn bench_scheduler_construct(c: &mut Criterion) {
+    let seeds: Vec<u64> = {
+        let mut x = SEED;
+        (0..PENDING).map(|_| xorshift(&mut x) % 1_000_000).collect()
+    };
+    let load = |s: &mut Scheduler<Event>| {
+        for (i, &t) in seeds.iter().enumerate() {
+            s.at(SimTime::from_micros(t), Event::Arrival(i as u64));
+        }
+    };
+    let mut g = c.benchmark_group("scheduler_construct");
+    g.bench_function("fresh_new", |b| {
+        b.iter(|| {
+            let mut s: Scheduler<Event> = Scheduler::new();
+            load(&mut s);
+            black_box(s.pending())
+        })
+    });
+    let mut pooled: Scheduler<Event> = Scheduler::new();
+    g.bench_function("pooled_reset", |b| {
+        b.iter(|| {
+            pooled.reset();
+            load(&mut pooled);
+            black_box(pooled.pending())
         })
     });
     g.finish();
@@ -405,6 +438,7 @@ criterion_group!(
     hotpath,
     bench_scheduler_push_pop,
     bench_batch_drain,
+    bench_scheduler_construct,
     bench_soa_scan,
     bench_route_index,
     bench_plan_cache_hit,

@@ -5,8 +5,8 @@
 //! A simulation run allocates three container families whose capacity is
 //! expensive to build and trivial to recycle:
 //!
-//! * the event scheduler (8192 pre-allocated wheel slots plus the far
-//!   heap / preload stream),
+//! * the event scheduler (its wheel's node pool, grown to the run's peak
+//!   population, plus the far heap / preload stream),
 //! * the request table (one record per trace invocation),
 //! * the instance slab (spine plus seven SoA hot columns).
 //!
@@ -39,9 +39,12 @@ use super::events::Event;
 use super::request::RequestState;
 use super::slab::InstanceSlab;
 
-/// Pool size cap per container family. One run holds at most one of each,
-/// so the cap only matters when many engines coexist on a thread (tests);
-/// beyond it, returned containers are simply dropped.
+/// Pool size cap per container family. A single-engine run holds one of
+/// each, but a sharded run holds one per cell (64 on a 1024-GPU fleet), so
+/// beyond the cap its cells construct fresh containers every run and the
+/// surplus is dropped on return. Fresh construction is cheap — a scheduler
+/// is two slot-table allocations — so the cap bounds pooled memory rather
+/// than guarding a slow path.
 const MAX_POOLED: usize = 8;
 
 /// Counters describing the calling thread's arena behaviour.

@@ -1407,15 +1407,15 @@ impl Platform for Engine {
     }
 
     fn finalize(&mut self, _end: SimTime) {
-        let unfinished: Vec<RequestState> = self
-            .core
+        // `requests` and `hub` are disjoint fields, so the table is walked
+        // in place (table order) while the hub logs each abandonment.
+        let core = &mut self.core;
+        for r in core
             .requests
             .iter()
             .filter(|r| r.completed.is_none() && !r.moved)
-            .cloned()
-            .collect();
-        for r in unfinished {
-            self.core.hub.abandon(&r);
+        {
+            core.hub.abandon(r);
         }
         // Satellite: interval-clamp regression guard. A fault-free run has
         // no out-of-order interval closes, so every `saturating_since`

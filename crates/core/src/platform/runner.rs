@@ -96,8 +96,8 @@ pub fn run_platform<P: Platform>(platform: &mut P, trace: &Trace) -> RunOutput {
     // All arrivals go in up front via the sorted bulk path (traces are
     // sorted by arrival), which keeps them out of the scheduler's overflow
     // heap; only dynamically scheduled far-future events pay heap ops.
-    // The scheduler itself comes from the thread's run arena: 8192 wheel
-    // slots are expensive to construct per run and trivial to reset.
+    // The scheduler itself comes from the thread's run arena, so its node
+    // pool arrives already grown to an earlier run's peak.
     let setup = ffs_telemetry::span(ffs_telemetry::Phase::EngineSetup);
     let mut sched: Scheduler<Event> = super::arena::take_scheduler(trace.invocations.len());
     sched.preload_sorted(

@@ -118,6 +118,19 @@ fn steady_state_events_do_not_allocate() {
     );
 }
 
+/// A fresh scheduler is a constant handful of allocations (the wheel's
+/// per-level slot tables), not one per slot: set-up of every run and every
+/// sharded cell pays it.
+#[test]
+fn scheduler_construction_allocates_a_small_constant() {
+    let (allocs, sched) = allocations_in(Scheduler::<Event>::new);
+    drop(sched);
+    assert!(
+        allocs <= 4,
+        "Scheduler::new must not allocate per wheel slot ({allocs} allocations)"
+    );
+}
+
 /// After one warm-up run per thread, the run arena reaches a fixed point:
 /// every later run on the thread takes all three container families
 /// (scheduler, request buffer, instance slab) from the pool, and the

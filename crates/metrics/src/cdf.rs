@@ -20,7 +20,9 @@ impl LatencyCdf {
         for _ in samples.len()..before {
             ffs_obs::note_nonfinite_latency_sample();
         }
-        samples.sort_by(f64::total_cmp);
+        // Values `total_cmp` calls equal are bit-identical, so an unstable
+        // sort yields the same vector as a stable one, without its buffer.
+        samples.sort_unstable_by(f64::total_cmp);
         LatencyCdf { sorted_ms: samples }
     }
 
@@ -126,6 +128,41 @@ mod tests {
             assert!(w[0].1 < w[1].1);
         }
         assert!((curve.last().unwrap().1 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unstable_sort_matches_stable_sort_bit_for_bit() {
+        // Duplicates, both zeros and non-finite samples (dropped before the
+        // sort), in a scrambled order.
+        let mut samples = vec![
+            -0.0,
+            0.0,
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            samples.push((x % 37) as f64 * 0.25 - 3.0);
+            if x.is_multiple_of(11) {
+                samples.push(if x.is_multiple_of(2) { -0.0 } else { 0.0 });
+            }
+        }
+        let mut stable: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
+        stable.sort_by(f64::total_cmp);
+        let cdf = LatencyCdf::new(samples);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&cdf.sorted_ms), bits(&stable));
+        // -0.0 orders before +0.0 under total_cmp, on both sides.
+        let first_pos_zero = stable.iter().position(|v| v.to_bits() == 0).unwrap();
+        assert!(stable[..first_pos_zero]
+            .iter()
+            .all(|v| v.is_sign_negative()));
     }
 
     #[test]

@@ -5,18 +5,22 @@
 //!
 //! * **L0** — 4096 slots of 1 µs each, covering the 4096 µs window that
 //!   contains the execution frontier. Within the window every slot maps to
-//!   exactly one timestamp, so a slot is a plain FIFO queue and FIFO order
+//!   exactly one timestamp, so a slot is a plain FIFO list and FIFO order
 //!   *is* insertion-sequence order.
 //! * **L1** — 4096 buckets of 4096 µs each, covering the ~16.8 s epoch
-//!   that contains the frontier. A bucket holds `(timestamp, event)` pairs
-//!   in insertion order and cascades into L0 when the frontier reaches it.
+//!   that contains the frontier. A bucket holds timestamped events in
+//!   insertion order and cascades into L0 when the frontier reaches it.
 //! * **Far heap** — events beyond the current epoch wait in a
 //!   `BinaryHeap` ordered by `(time, seq)` and are transferred into L1
 //!   when their epoch begins.
 //!
-//! Push and pop are O(1) on the steady-state path (bitmap scans over 64
-//! words with a one-word summary); only events crossing the epoch horizon
-//! pay a heap operation. The structure reproduces the reference
+//! Wheel events live in one node pool (`Vec<Node<E>>` with a LIFO free
+//! list); each slot of either level is just a `(head, tail)` pair of node
+//! indices, so a fresh scheduler is two allocations, a push links a
+//! node at its slot's tail, and a cascade relinks nodes without copying
+//! events. Push and pop are O(1) on the steady-state path (bitmap scans
+//! over 64 words with a one-word summary); only events crossing the epoch
+//! horizon pay a heap operation. The structure reproduces the reference
 //! binary-heap scheduler's `(time, insertion-seq)` execution order
 //! bit-for-bit — see `tests/proptest_scheduler.rs` for the equivalence
 //! property and `docs/ARCHITECTURE.md` for the ordering proof sketch.
@@ -115,10 +119,8 @@ const LEVEL_BITS: u32 = 12;
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// Slot-index mask.
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
-/// Per-slot FIFO capacity pre-allocated at construction, so steady-state
-/// pushes into a fresh slot do not allocate (the zero-allocation hot-path
-/// guarantee measured by `fluidfaas`'s counting-allocator test).
-const SLOT_PREALLOC: usize = 4;
+/// The null node index: ends a list, marks an empty slot.
+const NIL: u32 = u32::MAX;
 
 /// A 4096-bit occupancy map: 64 words plus a one-word summary of which
 /// words are non-zero, so the earliest occupied slot is two `ctz`s away.
@@ -161,6 +163,78 @@ impl Bitmap {
     }
 }
 
+/// One pooled wheel entry. A live node holds its event and links to the
+/// next node of its slot's list; a free node holds `None` and links to
+/// the next free node.
+struct Node<E> {
+    at: u64,
+    next: u32,
+    ev: Option<E>,
+}
+
+/// A slot's singly linked list of node indices, oldest first.
+#[derive(Clone, Copy, Debug)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
+/// One wheel level: a list per slot plus the occupancy map over them.
+/// A slot's bit is set exactly when its list is non-empty.
+struct Level {
+    lists: Box<[List; SLOTS]>,
+    bits: Bitmap,
+}
+
+impl Level {
+    fn new() -> Self {
+        Level {
+            lists: vec![List::EMPTY; SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .expect("exactly SLOTS lists"),
+            bits: Bitmap::new(),
+        }
+    }
+
+    /// Appends node `i` (whose `next` is `NIL`) to slot `s`.
+    #[inline]
+    fn link<E>(&mut self, nodes: &mut [Node<E>], s: usize, i: u32) {
+        let list = &mut self.lists[s];
+        if list.tail == NIL {
+            list.head = i;
+            self.bits.set(s);
+        } else {
+            nodes[list.tail as usize].next = i;
+        }
+        list.tail = i;
+    }
+
+    /// Empties slot `s` and returns its list's head; the nodes stay linked
+    /// to each other, so the caller walks them from there.
+    #[inline]
+    fn detach(&mut self, s: usize) -> u32 {
+        let head = self.lists[s].head;
+        self.lists[s] = List::EMPTY;
+        self.bits.clear(s);
+        head
+    }
+
+    /// Empties every occupied slot, bitmap-first (O(occupied)).
+    fn clear(&mut self) {
+        while let Some(s) = self.bits.first() {
+            self.detach(s);
+        }
+    }
+}
+
 /// The pending-event set and simulation clock.
 ///
 /// Handlers receive `&mut Scheduler` and may enqueue future events with
@@ -180,10 +254,14 @@ pub struct Scheduler<E> {
     /// The L1 epoch's index: `frontier_time >> 24` (`== l0_window >> 12`).
     /// Bucket `b` of `l1` holds events in window `(epoch << 12) | b`.
     epoch: u64,
-    l0: Vec<VecDeque<E>>,
-    l0_bits: Bitmap,
-    l1: Vec<Vec<(u64, E)>>,
-    l1_bits: Bitmap,
+    /// Every wheel event lives in one node of this pool; slots hold only
+    /// index lists into it, so a cascade relinks nodes instead of copying
+    /// events. Grows to the peak wheel population and keeps that capacity.
+    nodes: Vec<Node<E>>,
+    /// Head of the LIFO free list threaded through `nodes[..].next`.
+    free: u32,
+    l0: Level,
+    l1: Level,
     far: BinaryHeap<Scheduled<E>>,
     /// Pre-sorted far-future events ([`Scheduler::preload_sorted`]),
     /// consumed front-to-back at epoch advances. Entries carry seqs below
@@ -193,11 +271,6 @@ pub struct Scheduler<E> {
     /// push + pop per preloaded event. Invariant: every stream entry lies
     /// strictly beyond the current epoch.
     stream: VecDeque<(u64, E)>,
-    /// Recycled buffer [`run_until`] bulk-drains each batch into before
-    /// dispatching it ([`Scheduler::drain_front_into`]). Owned here so its
-    /// grown capacity survives across batches and pooled-scheduler reuse
-    /// (the zero-allocation hot path); always empty between calls.
-    batch_scratch: Vec<E>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -224,38 +297,29 @@ impl<E> Scheduler<E> {
             clamps: 0,
             l0_window: 0,
             epoch: 0,
-            l0: (0..SLOTS)
-                .map(|_| VecDeque::with_capacity(SLOT_PREALLOC))
-                .collect(),
-            l0_bits: Bitmap::new(),
-            l1: (0..SLOTS)
-                .map(|_| Vec::with_capacity(SLOT_PREALLOC))
-                .collect(),
-            l1_bits: Bitmap::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            l0: Level::new(),
+            l1: Level::new(),
             far: BinaryHeap::with_capacity(cap),
             stream: VecDeque::new(),
-            batch_scratch: Vec::with_capacity(SLOT_PREALLOC),
         }
     }
 
     /// Returns the scheduler to its freshly constructed state while keeping
-    /// every container's grown capacity: occupied wheel slots are cleared
-    /// bitmap-first (O(live), not O(4096)), cursors and counters reset to
-    /// zero. A pooled scheduler reset this way is indistinguishable from a
-    /// new one — same `seq` stream, same cursor positions — so reuse across
-    /// runs is bit-exact (the arena-reuse determinism test pins this down).
+    /// every container's grown capacity: occupied wheel slots are emptied
+    /// bitmap-first (O(live), not O(4096)), the node pool is truncated,
+    /// cursors and counters reset to zero. A pooled scheduler reset this
+    /// way is indistinguishable from a new one — same `seq` stream, same
+    /// cursor positions — so reuse across runs is bit-exact (the
+    /// arena-reuse determinism test pins this down).
     pub fn reset(&mut self) {
-        while let Some(s) = self.l0_bits.first() {
-            self.l0[s].clear();
-            self.l0_bits.clear(s);
-        }
-        while let Some(b) = self.l1_bits.first() {
-            self.l1[b].clear();
-            self.l1_bits.clear(b);
-        }
+        self.l0.clear();
+        self.l1.clear();
+        self.nodes.clear();
+        self.free = NIL;
         self.far.clear();
         self.stream.clear();
-        self.batch_scratch.clear();
         self.now = SimTime::ZERO;
         self.seq = 0;
         self.executed = 0;
@@ -269,9 +333,70 @@ impl<E> Scheduler<E> {
     /// The arena-growth test asserts this stays flat once a pooled
     /// scheduler has seen its peak load.
     pub fn retained_capacity(&self) -> usize {
-        let l0: usize = self.l0.iter().map(|q| q.capacity()).sum();
-        let l1: usize = self.l1.iter().map(|b| b.capacity()).sum();
-        l0 + l1 + self.far.capacity() + self.stream.capacity() + self.batch_scratch.capacity()
+        self.nodes.capacity() + self.far.capacity() + self.stream.capacity()
+    }
+
+    /// Takes a node for `(at, ev)` from the free list, or grows the pool.
+    #[inline]
+    fn alloc_node(&mut self, at: u64, ev: E) -> u32 {
+        let i = self.free;
+        if i != NIL {
+            let node = &mut self.nodes[i as usize];
+            self.free = node.next;
+            node.at = at;
+            node.next = NIL;
+            node.ev = Some(ev);
+            i
+        } else {
+            let i = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("wheel node pool exceeds u32 indices");
+            self.nodes.push(Node {
+                at,
+                next: NIL,
+                ev: Some(ev),
+            });
+            i
+        }
+    }
+
+    /// Frees node `i` (already unlinked from its slot) and returns its
+    /// event and the index it linked to, so a detached list can be walked
+    /// while its walked prefix is reused.
+    #[inline]
+    fn release(&mut self, i: u32) -> (E, u32) {
+        let node = &mut self.nodes[i as usize];
+        let ev = node.ev.take().expect("linked node holds an event");
+        let next = node.next;
+        node.next = self.free;
+        self.free = i;
+        (ev, next)
+    }
+
+    /// Number of nodes in the list starting at `i`.
+    fn list_len(&self, mut i: u32) -> usize {
+        let mut n = 0;
+        while i != NIL {
+            n += 1;
+            i = self.nodes[i as usize].next;
+        }
+        n
+    }
+
+    /// Appends an event at `at` (inside the L0 window) to its L0 slot.
+    #[inline]
+    fn push_l0(&mut self, at: u64, ev: E) {
+        let i = self.alloc_node(at, ev);
+        self.l0.link(&mut self.nodes, (at & SLOT_MASK) as usize, i);
+    }
+
+    /// Appends an event at `at` (inside the current epoch) to its L1 bucket.
+    #[inline]
+    fn push_l1(&mut self, at: u64, ev: E) {
+        let i = self.alloc_node(at, ev);
+        let b = ((at >> LEVEL_BITS) & SLOT_MASK) as usize;
+        self.l1.link(&mut self.nodes, b, i);
     }
 
     /// Bulk-loads a time-sorted batch of events (e.g. a trace's arrivals)
@@ -306,13 +431,9 @@ impl<E> Scheduler<E> {
             }
             let (at, ev) = self.stream.pop_front().expect("peeked non-empty");
             if at >> LEVEL_BITS == self.l0_window {
-                let s = (at & SLOT_MASK) as usize;
-                self.l0[s].push_back(ev);
-                self.l0_bits.set(s);
+                self.push_l0(at, ev);
             } else {
-                let b = ((at >> LEVEL_BITS) & SLOT_MASK) as usize;
-                self.l1[b].push((at, ev));
-                self.l1_bits.set(b);
+                self.push_l1(at, ev);
             }
         }
     }
@@ -328,9 +449,7 @@ impl<E> Scheduler<E> {
                 break;
             }
             let (at, ev) = self.stream.pop_front().expect("peeked non-empty");
-            let b = ((at >> LEVEL_BITS) & SLOT_MASK) as usize;
-            self.l1[b].push((at, ev));
-            self.l1_bits.set(b);
+            self.push_l1(at, ev);
         }
     }
 
@@ -392,13 +511,9 @@ impl<E> Scheduler<E> {
     fn push_event(&mut self, at: u64, seq: u64, ev: E) {
         self.pending += 1;
         if at >> LEVEL_BITS == self.l0_window {
-            let s = (at & SLOT_MASK) as usize;
-            self.l0[s].push_back(ev);
-            self.l0_bits.set(s);
+            self.push_l0(at, ev);
         } else if at >> (2 * LEVEL_BITS) == self.epoch {
-            let b = ((at >> LEVEL_BITS) & SLOT_MASK) as usize;
-            self.l1[b].push((at, ev));
-            self.l1_bits.set(b);
+            self.push_l1(at, ev);
         } else {
             self.far.push(Scheduled { at, seq, ev });
         }
@@ -413,11 +528,18 @@ impl<E> Scheduler<E> {
         // Everything in L0 precedes everything in L1 precedes the heap, and
         // L1 buckets are mutually ordered, so the first occupied container
         // decides; only within one L1 bucket are timestamps unordered.
-        if let Some(s) = self.l0_bits.first() {
+        if let Some(s) = self.l0.bits.first() {
             return Some((self.l0_window << LEVEL_BITS) | s as u64);
         }
-        if let Some(b) = self.l1_bits.first() {
-            return self.l1[b].iter().map(|&(at, _)| at).min();
+        if let Some(b) = self.l1.bits.first() {
+            let mut i = self.l1.lists[b].head;
+            let mut min = u64::MAX;
+            while i != NIL {
+                let node = &self.nodes[i as usize];
+                min = min.min(node.at);
+                i = node.next;
+            }
+            return Some(min);
         }
         // Both far containers hold only events beyond the current epoch,
         // so a plain minimum suffices.
@@ -432,35 +554,37 @@ impl<E> Scheduler<E> {
     /// Pops the earliest event, advancing cursors and cascading as needed.
     fn pop_next(&mut self) -> Option<(u64, E)> {
         let s = self.advance_to_l0()?;
-        let q = &mut self.l0[s];
-        let ev = q.pop_front().expect("occupied slot");
-        if q.is_empty() {
-            self.l0_bits.clear(s);
+        let list = &mut self.l0.lists[s];
+        let i = list.head;
+        let next = self.nodes[i as usize].next;
+        list.head = next;
+        if next == NIL {
+            list.tail = NIL;
+            self.l0.bits.clear(s);
         }
+        let (ev, _) = self.release(i);
         self.pending -= 1;
         Some(((self.l0_window << LEVEL_BITS) | s as u64, ev))
     }
 
-    /// Advances to the earliest pending timestamp and moves its entire L0
-    /// slot into `into` in FIFO (= seq) order, returning the timestamp and
-    /// event count. One cursor walk and one bulk `VecDeque` drain replace
-    /// the batch's n repeated [`Scheduler::pop_next`] calls (each of which
-    /// re-found the first set bit), which is what makes batch extraction
-    /// O(n) with a single bitmap touch.
+    /// Advances to the earliest pending timestamp and detaches its entire
+    /// L0 slot, returning the timestamp, the detached list's head and its
+    /// length. The caller walks the list with [`Scheduler::release`]; the
+    /// batch's events are already off the books (`pending` excludes them).
     ///
     /// Equivalent to popping the slot's current events one at a time: the
     /// slot holds exactly one timestamp, handlers can only push at
-    /// `t >= now`, so events pushed at this timestamp *during* dispatch
+    /// `t >= now`, so events pushed at this timestamp *during* the walk
     /// land in the (now empty) slot with larger seqs and form the next
-    /// batch — exactly single-step `(time, insertion-seq)` order.
-    fn drain_front_into(&mut self, into: &mut Vec<E>) -> Option<(u64, usize)> {
+    /// batch — exactly single-step `(time, insertion-seq)` order. Nodes
+    /// the walk has released may be reused by those pushes; the unwalked
+    /// rest of the list is still owned by the walk, so nothing is clobbered.
+    fn take_front(&mut self) -> Option<(u64, u32, usize)> {
         let s = self.advance_to_l0()?;
-        let q = &mut self.l0[s];
-        let n = q.len();
-        into.extend(q.drain(..));
-        self.l0_bits.clear(s);
+        let head = self.l0.detach(s);
+        let n = self.list_len(head);
         self.pending -= n;
-        Some(((self.l0_window << LEVEL_BITS) | s as u64, n))
+        Some(((self.l0_window << LEVEL_BITS) | s as u64, head, n))
     }
 
     /// Advances cursors (cascading L1 buckets / the far containers) until
@@ -472,23 +596,24 @@ impl<E> Scheduler<E> {
     /// the advance.
     fn advance_to_l0(&mut self) -> Option<usize> {
         loop {
-            if let Some(s) = self.l0_bits.first() {
+            if let Some(s) = self.l0.bits.first() {
                 return Some(s);
             }
-            if let Some(b) = self.l1_bits.first() {
-                // Advance the L0 window to this bucket and cascade it.
+            if let Some(b) = self.l1.bits.first() {
+                // Advance the L0 window to this bucket and cascade it: walk
+                // the bucket's list in order and relink each node at the
+                // tail of its L0 slot (no event moves).
                 self.l0_window = (self.epoch << LEVEL_BITS) | b as u64;
-                self.l1_bits.clear(b);
-                let mut bucket = std::mem::take(&mut self.l1[b]);
-                for (at, ev) in bucket.drain(..) {
+                let mut i = self.l1.detach(b);
+                while i != NIL {
+                    let node = &mut self.nodes[i as usize];
+                    let next = node.next;
+                    node.next = NIL;
+                    let at = node.at;
                     debug_assert_eq!(at >> LEVEL_BITS, self.l0_window);
-                    let s = (at & SLOT_MASK) as usize;
-                    self.l0[s].push_back(ev);
-                    self.l0_bits.set(s);
+                    self.l0.link(&mut self.nodes, (at & SLOT_MASK) as usize, i);
+                    i = next;
                 }
-                // Hand the (empty) buffer back so the bucket keeps its
-                // grown capacity for the next epoch's cascade.
-                self.l1[b] = bucket;
                 continue;
             }
             let far_epoch = self.far.peek().map(|s| s.at >> (2 * LEVEL_BITS));
@@ -513,9 +638,7 @@ impl<E> Scheduler<E> {
                     break;
                 }
                 let sch = self.far.pop().expect("peeked non-empty");
-                let b = ((sch.at >> LEVEL_BITS) & SLOT_MASK) as usize;
-                self.l1[b].push((sch.at, sch.ev));
-                self.l1_bits.set(b);
+                self.push_l1(sch.at, sch.ev);
             }
         }
     }
@@ -547,7 +670,7 @@ pub enum StopReason {
 /// with larger seqs and are taken as the *next* batch before the frontier
 /// moves — `(time, insertion-seq)` order is preserved exactly. The win is
 /// amortisation: one deadline probe, one clock update, one obs flush, and
-/// one bulk slot drain per timestamp instead of per event.
+/// one slot detach per timestamp instead of per event.
 pub fn run_until<W: World>(
     world: &mut W,
     sched: &mut Scheduler<W::Event>,
@@ -565,11 +688,6 @@ pub fn run_until<W: World>(
     let telemetry = ffs_telemetry::enabled();
     let executed_at_entry = sched.executed;
     let until_us = until.as_micros();
-    // The scratch is owned by the scheduler (capacity survives batches and
-    // pooled reuse) but moved out for the call so handlers' `&mut sched`
-    // cannot alias the buffer being drained.
-    let mut batch = std::mem::take(&mut sched.batch_scratch);
-    debug_assert!(batch.is_empty());
     let reason = loop {
         // Probe first: advancing cursors for (or popping and re-queueing) a
         // boundary event would reorder it behind same-timestamp peers (a
@@ -582,9 +700,7 @@ pub fn run_until<W: World>(
             }
             Some(_) => {}
         }
-        let (at_us, n) = sched
-            .drain_front_into(&mut batch)
-            .expect("probed non-empty");
+        let (at_us, mut i, n) = sched.take_front().expect("probed non-empty");
         let at = SimTime::from_micros(at_us);
         sched.now = at;
         sched.executed += n as u64;
@@ -601,14 +717,14 @@ pub fn run_until<W: World>(
             batch_events_hist().record(n as u64);
         }
         let _dispatch = ffs_telemetry::span(ffs_telemetry::Phase::BatchDispatch);
-        for ev in batch.drain(..) {
+        // Release each node before its handler runs, so the handler's own
+        // pushes can reuse it.
+        while i != NIL {
+            let (ev, next) = sched.release(i);
             world.handle(at, ev, sched);
+            i = next;
         }
     };
-    // Hand the (empty) scratch back so its capacity is retained. A handler
-    // panic drops it instead, leaving the default empty Vec — consistent,
-    // just cold.
-    sched.batch_scratch = batch;
     note_executed(sched.executed - executed_at_entry);
     reason
 }
@@ -886,6 +1002,66 @@ mod tests {
             (w.log, r, s.executed(), s.pending(), s.now())
         };
         assert_eq!(drive(true), drive(false));
+    }
+
+    #[test]
+    fn nodes_freed_mid_batch_are_reused_in_order() {
+        // Every first-generation event pushes, while its batch's detached
+        // list is still being walked, one event at the batch's own
+        // timestamp, one into a later L0 slot and one into a later L1
+        // bucket. Each push can take the node its handler's event was just
+        // released from, so the walk must survive its prefix being reused.
+        struct Fanout {
+            log: Vec<(SimTime, u32)>,
+        }
+        impl World for Fanout {
+            type Event = u32;
+            fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+                self.log.push((now, ev));
+                if ev < 1000 {
+                    sched.immediately(ev + 1000);
+                    sched.after(SimDuration::from_micros(1 + u64::from(ev % 3)), ev + 2000);
+                    sched.after(SimDuration::from_micros(5000), ev + 3000);
+                }
+            }
+        }
+        const BATCH: u32 = 8;
+        let drive = |batched: bool| {
+            let mut w = Fanout { log: vec![] };
+            let mut s = Scheduler::new();
+            for ev in 0..BATCH {
+                s.at(SimTime::from_micros(100), ev);
+            }
+            s.at(SimTime::from_micros(101), 500);
+            let r = if batched {
+                run_until(&mut w, &mut s, SimTime::MAX)
+            } else {
+                run_until_stepwise(&mut w, &mut s, SimTime::MAX)
+            };
+            let pool = s.nodes.len();
+            (w.log, r, s.executed(), s.pending(), s.now(), pool)
+        };
+        let (log, r, executed, pending, now, pool) = drive(true);
+        let (step_log, step_r, step_executed, step_pending, step_now, _) = drive(false);
+        assert_eq!(
+            (&log, r, executed, pending, now),
+            (&step_log, step_r, step_executed, step_pending, step_now)
+        );
+        let pushed = 4 * (BATCH as usize + 1);
+        assert_eq!(log.len(), pushed);
+        assert!(
+            pool < pushed,
+            "freed nodes must be reused ({pool} nodes for {pushed} events)"
+        );
+        // The same-instant pushes run as the next batch at t=100, behind
+        // the whole first generation, in handler order.
+        let at_100: Vec<u32> = log
+            .iter()
+            .filter(|&&(t, _)| t == SimTime::from_micros(100))
+            .map(|&(_, e)| e)
+            .collect();
+        let expected: Vec<u32> = (0..BATCH).chain((0..BATCH).map(|e| e + 1000)).collect();
+        assert_eq!(at_100, expected);
     }
 
     #[test]
