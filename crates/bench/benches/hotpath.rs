@@ -2,14 +2,17 @@
 //! against the binary heap it replaced, batch slot drain against the
 //! per-event loop it replaced, scheduler set-up fresh against pooled, SoA column scans against record scans, the
 //! incremental routing index against the full admission scan, the
-//! incremental plan-cache signature against recomputing it from the
-//! free-slice list, and an end-to-end run that exercises every hot-path
-//! change at once.
+//! maintained exclusive-fleet summary against the per-request scan it
+//! replaced, the incremental plan-cache signature against recomputing it
+//! from the free-slice list, the radix latency CDF against the comparison
+//! sort, and an end-to-end run that exercises every hot-path change at
+//! once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BinaryHeap;
 use std::hint::black_box;
 
+use ffs_metrics::LatencyCdf;
 use ffs_mig::{Fleet, GpuId, NodeId, SliceId, SliceProfile};
 use ffs_pipeline::plan::StagePlan;
 use ffs_pipeline::{DeploymentPlan, InstanceEstimate};
@@ -19,6 +22,7 @@ use ffs_trace::{AzureTraceConfig, WorkloadClass};
 use fluidfaas::instance::{Instance, Phase, StageTimings};
 use fluidfaas::plancache::{slice_signature, PlanCache};
 use fluidfaas::platform::events::{Event, InstanceId};
+use fluidfaas::platform::policy::exclusive_view_scan;
 use fluidfaas::platform::runner::run_platform;
 use fluidfaas::platform::slab::InstanceSlab;
 use fluidfaas::{paper_policies, Engine, FfsConfig};
@@ -378,6 +382,69 @@ fn bench_route_index(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------
+// Exclusive-fleet summary vs per-request scan
+// ---------------------------------------------------------------------
+
+/// Views read per timed iteration, so one iteration is long enough for
+/// the wall clock to resolve.
+const VIEWS_PER_ITER: usize = 1_000;
+
+/// The overflow rule's input, `ExclusiveView`, read from the slab's
+/// maintained per-function summary against the scan over the function's
+/// instances it replaced, at a small and a large fleet. The summary is
+/// O(1); the scan grows with the instance count. Each iteration reads
+/// [`VIEWS_PER_ITER`] views.
+fn bench_overflow_view(c: &mut Criterion) {
+    let mut g = c.benchmark_group("overflow_view");
+    for fleet in [4u64, 64] {
+        let slab = scan_slab(fleet);
+        let ids: Vec<InstanceId> = (0..fleet).map(InstanceId).collect();
+        g.bench_function(format!("scan_{fleet}_ready_x1000"), |b| {
+            b.iter(|| {
+                for _ in 0..VIEWS_PER_ITER {
+                    black_box(exclusive_view_scan(&slab, black_box(&ids)));
+                }
+            })
+        });
+        g.bench_function(format!("summary_{fleet}_ready_x1000"), |b| {
+            b.iter(|| {
+                for _ in 0..VIEWS_PER_ITER {
+                    black_box(slab.exclusive_view(black_box(0)));
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
+// ---------------------------------------------------------------------
+// Latency CDF: radix sort of µs keys vs comparison sort of ms floats
+// ---------------------------------------------------------------------
+
+/// A run-sized latency CDF (~200k completions, 1 µs … ~100 s): the
+/// comparison sort of `f64` ms values against the radix sort of the
+/// integer µs keys they come from. Each iteration sorts a fresh copy.
+fn bench_latency_cdf(c: &mut Criterion) {
+    const SAMPLES: usize = 200_000;
+    let mut rng = SEED;
+    let micros: Vec<u64> = (0..SAMPLES)
+        .map(|_| 1 + xorshift(&mut rng) % 100_000_000)
+        .collect();
+    let millis: Vec<f64> = micros
+        .iter()
+        .map(|&us| ffs_sim::SimDuration::from_micros(us).as_secs_f64() * 1_000.0)
+        .collect();
+    let mut g = c.benchmark_group("latency_cdf");
+    g.bench_function("comparison_sort_ms", |b| {
+        b.iter(|| black_box(LatencyCdf::new(millis.clone()).p99()))
+    });
+    g.bench_function("radix_sort_us", |b| {
+        b.iter(|| black_box(LatencyCdf::from_micros(micros.clone()).p99()))
+    });
+    g.finish();
+}
+
+// ---------------------------------------------------------------------
 // Plan-cache hit: incremental signature vs recomputed signature
 // ---------------------------------------------------------------------
 
@@ -441,7 +508,9 @@ criterion_group!(
     bench_scheduler_construct,
     bench_soa_scan,
     bench_route_index,
+    bench_overflow_view,
     bench_plan_cache_hit,
+    bench_latency_cdf,
     bench_end_to_end
 );
 criterion_main!(hotpath);

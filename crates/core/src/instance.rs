@@ -13,8 +13,8 @@ use crate::platform::events::InstanceId;
 
 /// Per-stage timing constants of a deployment — pure functions of
 /// (profile, plan), computed once at launch so the per-request hot path
-/// reads three `f64`s instead of cloning stage node lists and re-walking
-/// the profile tables.
+/// reads precomputed values instead of cloning stage node lists,
+/// re-walking the profile tables or rounding floats to durations.
 #[derive(Clone, Debug)]
 pub struct StageTimings {
     /// Execution time of each stage (ms) on its slice profile.
@@ -24,6 +24,11 @@ pub struct StageTimings {
     /// Host-shared-memory transfer after each stage (ms); the final
     /// stage's entry is the planner's "no boundary" value (0).
     pub transfer_ms: Vec<f64>,
+    /// How long each stage holds its slice per request: `exec_ms +
+    /// handoff_ms` as a duration.
+    pub service: Vec<SimDuration>,
+    /// `transfer_ms` as a duration.
+    pub transfer: Vec<SimDuration>,
 }
 
 impl StageTimings {
@@ -46,19 +51,31 @@ impl StageTimings {
                 profile.perf.boundary_ms(mb)
             })
             .collect();
-        StageTimings {
-            exec_ms,
-            handoff_ms,
-            transfer_ms,
-        }
+        Self::from_ms(exec_ms, handoff_ms, transfer_ms)
     }
 
     /// An all-zero table for `n` stages (test/bench scaffolding).
     pub fn zero(n: usize) -> Self {
+        Self::from_ms(vec![0.0; n], vec![0.0; n], vec![0.0; n])
+    }
+
+    /// Completes a table from its millisecond columns.
+    fn from_ms(exec_ms: Vec<f64>, handoff_ms: Vec<f64>, transfer_ms: Vec<f64>) -> Self {
+        let service = exec_ms
+            .iter()
+            .zip(&handoff_ms)
+            .map(|(&e, &h)| SimDuration::from_millis_f64(e + h))
+            .collect();
+        let transfer = transfer_ms
+            .iter()
+            .map(|&t| SimDuration::from_millis_f64(t))
+            .collect();
         StageTimings {
-            exec_ms: vec![0.0; n],
-            handoff_ms: vec![0.0; n],
-            transfer_ms: vec![0.0; n],
+            exec_ms,
+            handoff_ms,
+            transfer_ms,
+            service,
+            transfer,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The function catalog: one registered FluidFaaS function per application,
 //! profiled offline.
 
-use ffs_profile::{App, FunctionProfile, PerfModel};
+use ffs_profile::{FunctionProfile, PerfModel};
 use ffs_trace::WorkloadClass;
 
 /// Index of a function in the catalog.
@@ -56,16 +56,12 @@ impl FunctionCatalog {
     pub fn slo_ms(&self, f: FuncId) -> f64 {
         self.slo_ms[f]
     }
-
-    /// Finds the function serving an app.
-    pub fn func_of(&self, app: App) -> Option<FuncId> {
-        self.profiles.iter().position(|p| p.app == app)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffs_profile::App;
     use ffs_trace::WorkloadClass;
 
     #[test]
@@ -82,7 +78,8 @@ mod tests {
     fn heavy_catalog_excludes_null_row() {
         let cat = FunctionCatalog::for_workload(WorkloadClass::Heavy, 1.5, &PerfModel::default());
         assert_eq!(cat.len(), 3);
-        assert!(cat.func_of(App::ExpandedImageClassification).is_none());
-        assert!(cat.func_of(App::ImageClassification).is_some());
+        let serves = |app: App| cat.ids().any(|f| cat.profile(f).app == app);
+        assert!(!serves(App::ExpandedImageClassification));
+        assert!(serves(App::ImageClassification));
     }
 }

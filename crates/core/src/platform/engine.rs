@@ -172,6 +172,16 @@ pub struct EngineCore {
     pub shared_exec_ms: Vec<[f64; SliceProfile::ALL.len()]>,
     /// Precomputed model-load time of each function's full DAG (ms).
     pub load_all_ms: Vec<f64>,
+    /// Precomputed duration of one time-shared execution (monolithic exec
+    /// plus in-process handoff) per function per slice profile
+    /// (`SliceProfile::ALL` order).
+    pub shared_service: Vec<[SimDuration; SliceProfile::ALL.len()]>,
+    /// Precomputed model memory of each function's full DAG (GB) — what a
+    /// time-sharing slot must fit.
+    pub mem_gb: Vec<f64>,
+    /// Each function's SLO budget as a duration, converted once per run:
+    /// a request's deadline is its arrival plus this.
+    pub slo: Vec<SimDuration>,
     /// Fault-injection state (`ffs-chaos`); inert when faults are disabled.
     pub chaos: ChaosState,
     /// This core's place in a sharded run (`ShardView::solo()` outside
@@ -199,12 +209,15 @@ impl EngineCore {
         hub.log.reserve(trace.invocations.len());
         // Request table and instance slab come from the thread's run arena
         // (warm capacity after the first run); both go back on drop.
+        let n = catalog.len();
+        let slo: Vec<SimDuration> = (0..n)
+            .map(|f| SimDuration::from_millis_f64(catalog.slo_ms(f)))
+            .collect();
         let mut requests = super::arena::take_request_buffer();
-        if let Err(e) = build_requests_into(&catalog, trace, &mut requests) {
+        if let Err(e) = build_requests_into(&catalog, &slo, trace, &mut requests) {
             super::arena::store_request_buffer(requests);
             return Err(e);
         }
-        let n = catalog.len();
         let horizon = SimTime::ZERO + trace.duration + cfg.drain;
         // Utilization samples land once per tick through the whole run;
         // pre-sizing the bins keeps the tick path reallocation-free too.
@@ -213,7 +226,7 @@ impl EngineCore {
         hub.required_gpcs.reserve_until(horizon);
         // Per-(function, profile) timing tables: pure functions of the
         // catalog, computed once so the execution hot paths are lookups.
-        let mono_split_ms = (0..n)
+        let mono_split_ms: Vec<[(f64, f64); SliceProfile::ALL.len()]> = (0..n)
             .map(|f| {
                 let mut row = [(0.0, 0.0); SliceProfile::ALL.len()];
                 for (i, &p) in SliceProfile::ALL.iter().enumerate() {
@@ -222,6 +235,11 @@ impl EngineCore {
                 row
             })
             .collect();
+        let shared_service = mono_split_ms
+            .iter()
+            .map(|row| row.map(|(exec, handoff)| SimDuration::from_millis_f64(exec + handoff)))
+            .collect();
+        let mem_gb = (0..n).map(|f| catalog.profile(f).total_mem_gb()).collect();
         let shared_exec_ms = (0..n)
             .map(|f| {
                 let mut row = [0.0; SliceProfile::ALL.len()];
@@ -281,6 +299,9 @@ impl EngineCore {
             mono_split_ms,
             shared_exec_ms,
             load_all_ms,
+            shared_service,
+            mem_gb,
+            slo,
             chaos,
             shard: ShardView::solo(),
         })
@@ -422,10 +443,11 @@ impl EngineCore {
         let gpcs = inst.plan.stages[stage].profile.gpcs();
         let mono = inst.plan.is_monolithic();
         // Stage timing constants were computed once at launch; the
-        // per-request path copies two floats instead of cloning the stage's
-        // node list and re-walking the profile tables.
+        // per-request path copies them instead of cloning the stage's node
+        // list, re-walking the profile tables or rounding a duration.
         let exec_ms = inst.timings.exec_ms[stage];
         let handoff_ms = inst.timings.handoff_ms[stage];
+        let service = inst.timings.service[stage];
         self.instances.note_stage_started(id, gpcs);
         self.requests[req as usize].exec_ms += exec_ms;
         self.requests[req as usize].transfer_ms += handoff_ms;
@@ -451,7 +473,7 @@ impl EngineCore {
             });
         }
         sched.after(
-            SimDuration::from_millis_f64(exec_ms + handoff_ms),
+            service,
             Event::StageDone {
                 inst: id,
                 stage,
@@ -483,6 +505,7 @@ impl EngineCore {
         // Boundary-transfer time was precomputed at launch (unused when
         // this is the final stage).
         let transfer_ms = inst.timings.transfer_ms[stage];
+        let transfer = inst.timings.transfer[stage];
         self.hub.slice_idle(now, slice);
         ffs_obs::record(|| ffs_obs::ObsEvent::SliceIdle { slice: sref(slice) });
         if last {
@@ -499,7 +522,7 @@ impl EngineCore {
                 inst.in_transfer += 1;
             }
             sched.after(
-                SimDuration::from_millis_f64(transfer_ms),
+                transfer,
                 Event::TransferDone {
                     inst: id,
                     stage: stage + 1,
@@ -547,6 +570,7 @@ impl EngineCore {
         let slice = slot.slice.id;
         let profile = slot.slice.profile;
         let (exec_ms, handoff_ms) = self.mono_split_ms[f][profile_index(profile)];
+        let service = self.shared_service[f][profile_index(profile)];
         self.requests[req as usize].exec_ms += exec_ms;
         self.requests[req as usize].transfer_ms += handoff_ms;
         self.hub.slice_active(now, slice);
@@ -564,7 +588,7 @@ impl EngineCore {
             });
         }
         sched.after(
-            SimDuration::from_millis_f64(exec_ms + handoff_ms),
+            service,
             Event::SharedDone {
                 slot: slot_idx,
                 req,
@@ -966,18 +990,35 @@ pub(crate) fn mono_split(
 
 /// Fills `out` (a recycled arena buffer) with one request record per
 /// invocation — identical contents to a freshly collected table.
+///
+/// Each app is resolved once per run, to its function and that function's
+/// SLO duration (`slo`, indexed by function), in a table indexed by
+/// [`App::index`](ffs_profile::App::index); the per-invocation work is one
+/// lookup and an integer add.
 fn build_requests_into(
     catalog: &FunctionCatalog,
+    slo: &[SimDuration],
     trace: &Trace,
     out: &mut Vec<RequestState>,
 ) -> Result<(), EngineError> {
     debug_assert!(out.is_empty());
+    let slots = catalog
+        .ids()
+        .map(|f| catalog.profile(f).app.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut by_app: Vec<Option<(FuncId, SimDuration)>> = vec![None; slots];
+    for f in catalog.ids() {
+        by_app[catalog.profile(f).app.index()] = Some((f, slo[f]));
+    }
     out.reserve(trace.invocations.len());
     for inv in &trace.invocations {
-        let f = catalog
-            .func_of(inv.app)
+        let (f, slo) = by_app
+            .get(inv.app.index())
+            .copied()
+            .flatten()
             .ok_or(EngineError::UnknownApp(inv.app))?;
-        let mut state = RequestState::new(inv.id, f, inv.arrival, catalog.slo_ms(f));
+        let mut state = RequestState::with_slo(inv.id, f, inv.arrival, slo);
         state.tenant = inv.tenant;
         out.push(state);
     }
@@ -1410,13 +1451,25 @@ impl Platform for Engine {
         // `requests` and `hub` are disjoint fields, so the table is walked
         // in place (table order) while the hub logs each abandonment.
         let core = &mut self.core;
-        for r in core
-            .requests
-            .iter()
-            .filter(|r| r.completed.is_none() && !r.moved)
-        {
-            core.hub.abandon(r);
+        let mut moved = 0usize;
+        for r in &core.requests {
+            if r.moved {
+                moved += 1;
+            } else if r.completed.is_none() {
+                core.hub.abandon(r);
+            }
         }
+        // Each request is logged exactly once: completed ones when they
+        // finished, the rest just above, and moved tombstones by the peer
+        // shard that adopted them. Checked in release builds too.
+        assert_eq!(
+            core.hub.log.len(),
+            core.requests.len() - moved,
+            "request log holds {} records for {} requests ({} moved to peers)",
+            core.hub.log.len(),
+            core.requests.len(),
+            moved
+        );
         // Satellite: interval-clamp regression guard. A fault-free run has
         // no out-of-order interval closes, so every `saturating_since`
         // clamp the cost tracker counted indicates a bookkeeping bug.
@@ -1458,5 +1511,67 @@ impl Platform for Engine {
             rebuilds: c.pipeline_rebuilds,
             recoveries: c.slice_recoveries,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::platform::arena::{arena_stats, store_request_buffer, take_request_buffer};
+    use ffs_profile::App;
+    use ffs_trace::{AzureTraceConfig, WorkloadClass};
+
+    #[test]
+    fn request_table_deadlines_match_request_state_new() {
+        let trace = AzureTraceConfig::for_workload(WorkloadClass::Medium, 20.0, 3).generate();
+        let core = EngineCore::try_new(FfsConfig::test_small(WorkloadClass::Medium), &trace)
+            .unwrap_or_else(|e| panic!("valid setup: {e}"));
+        assert_eq!(core.requests.len(), trace.invocations.len());
+        assert!(!trace.invocations.is_empty());
+        for (r, inv) in core.requests.iter().zip(&trace.invocations) {
+            let f = core
+                .catalog
+                .ids()
+                .find(|&f| core.catalog.profile(f).app == inv.app)
+                .expect("catalog app");
+            let reference = RequestState::new(inv.id, f, inv.arrival, core.catalog.slo_ms(f));
+            assert_eq!(r.func, f);
+            assert_eq!(r.deadline, reference.deadline, "request {}", inv.id);
+            assert_eq!(r.tenant, inv.tenant);
+        }
+    }
+
+    #[test]
+    fn unknown_app_is_an_error_and_returns_the_request_buffer() {
+        // Leave exactly one known buffer in this thread's pool.
+        loop {
+            let fresh = arena_stats().fresh;
+            let v = take_request_buffer();
+            if arena_stats().fresh != fresh {
+                break;
+            }
+            drop(v);
+        }
+        store_request_buffer(Vec::with_capacity(64));
+        // The study catalog does not serve the LLM extension app; its
+        // invocations are interleaved with served ones, so the table is
+        // partly built when the lookup fails.
+        let trace =
+            AzureTraceConfig::steady(vec![App::ImageClassification, App::LlmService], 5.0, 4.0, 1)
+                .generate();
+        let before = arena_stats();
+        let Err(err) = EngineCore::try_new(FfsConfig::test_small(WorkloadClass::Medium), &trace)
+        else {
+            panic!("a trace invoking an uncatalogued app must be rejected");
+        };
+        assert_eq!(err, EngineError::UnknownApp(App::LlmService));
+        let v = take_request_buffer();
+        let after = arena_stats();
+        assert_eq!(
+            after.fresh, before.fresh,
+            "the failed build's buffer was pooled"
+        );
+        assert_eq!(after.reused, before.reused + 2);
+        assert!(v.is_empty() && v.capacity() >= 64);
     }
 }

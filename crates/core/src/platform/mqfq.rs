@@ -346,7 +346,7 @@ impl SharedPoolPolicy for MqfqSharedPool {
         now: SimTime,
         sched: &mut Scheduler<Event>,
     ) -> bool {
-        let mem = core.catalog.profile(f).total_mem_gb();
+        let mem = core.mem_gb[f];
         let slot_idx = match core.pool.slot_of(f) {
             Some(i) => i,
             None => {

@@ -20,7 +20,7 @@ use ffs_sim::{Scheduler, SimTime};
 use super::catalog::FuncId;
 use super::engine::EngineCore;
 use super::events::{Event, InstanceId};
-use super::slab::PhaseTag;
+use super::slab::{InstanceSlab, PhaseTag};
 
 /// Request routing (§5.3): drains a function's backlog onto instances and,
 /// per policy, overflows to the time-sharing pool.
@@ -259,27 +259,46 @@ pub struct ExclusiveView {
     pub best_latency_ms: f64,
 }
 
-/// Summarizes `f`'s exclusive fleet for [`overflow_decision`].
-pub fn exclusive_view(core: &EngineCore, f: FuncId) -> ExclusiveView {
-    let mut v = ExclusiveView {
+impl ExclusiveView {
+    /// The view of a function with no exclusive instance.
+    pub const EMPTY: ExclusiveView = ExclusiveView {
         ready: 0,
         launching: 0,
         occupancy: 0,
         best_bottleneck_ms: f64::INFINITY,
         best_latency_ms: f64::INFINITY,
     };
-    // Hot-column scan: the per-instance scalars (phase tag, occupancy,
-    // estimate) live in the slab's SoA columns, so this per-dispatch loop
-    // never touches the full instance records.
-    for &id in &core.instances_of[f] {
-        match core.instances.phase_tag(id) {
+}
+
+/// Summarizes `f`'s exclusive fleet for [`overflow_decision`].
+///
+/// Reads the slab's maintained per-function summary in O(1) instead of
+/// scanning every instance of `f`; the scan it replaced is
+/// [`exclusive_view_scan`], `debug_assert`ed equal here and pinned by
+/// `proptest_route_index`.
+#[inline]
+pub fn exclusive_view(core: &EngineCore, f: FuncId) -> ExclusiveView {
+    let v = core.instances.exclusive_view(f);
+    debug_assert_eq!(
+        v,
+        exclusive_view_scan(&core.instances, &core.instances_of[f]),
+        "exclusive-fleet summary disagrees with the scan for function {f}"
+    );
+    v
+}
+
+/// The reference scan [`exclusive_view`] replaced: fold the hot columns
+/// of `ids` (one function's instances, ascending) into a view. Kept as
+/// the executable specification of the slab's summary.
+pub fn exclusive_view_scan(slab: &InstanceSlab, ids: &[InstanceId]) -> ExclusiveView {
+    let mut v = ExclusiveView::EMPTY;
+    for &id in ids {
+        match slab.phase_tag(id) {
             PhaseTag::Ready => {
                 v.ready += 1;
-                v.occupancy += core.instances.occupancy_of(id) as usize;
-                v.best_bottleneck_ms = v
-                    .best_bottleneck_ms
-                    .min(core.instances.bottleneck_ms_of(id));
-                v.best_latency_ms = v.best_latency_ms.min(core.instances.latency_ms_of(id));
+                v.occupancy += slab.occupancy_of(id) as usize;
+                v.best_bottleneck_ms = v.best_bottleneck_ms.min(slab.bottleneck_ms_of(id));
+                v.best_latency_ms = v.best_latency_ms.min(slab.latency_ms_of(id));
             }
             PhaseTag::Launching => v.launching += 1,
             PhaseTag::Draining | PhaseTag::Empty => {}
@@ -307,10 +326,16 @@ pub fn overflow_decision(view: &ExclusiveView, slack_budget_ms: f64) -> bool {
 /// `req` of function `f`.
 pub fn should_overflow_to_shared(core: &EngineCore, f: FuncId, req: u64, now: SimTime) -> bool {
     let view = exclusive_view(core, f);
-    let budget_ms = core.requests[req as usize]
-        .deadline
-        .saturating_since(now)
-        .as_secs_f64()
-        * 1_000.0;
+    // With nothing ready the rule ignores the slack budget, so the request
+    // record (cold under a deep backlog) is only read when it matters.
+    let budget_ms = if view.ready == 0 {
+        0.0
+    } else {
+        core.requests[req as usize]
+            .deadline
+            .saturating_since(now)
+            .as_secs_f64()
+            * 1_000.0
+    };
     overflow_decision(&view, budget_ms)
 }

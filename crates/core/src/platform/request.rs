@@ -1,7 +1,7 @@
 //! Per-request lifecycle bookkeeping.
 
 use ffs_metrics::Breakdown;
-use ffs_sim::SimTime;
+use ffs_sim::{SimDuration, SimTime};
 
 use super::catalog::FuncId;
 
@@ -48,13 +48,20 @@ pub struct RequestState {
 }
 
 impl RequestState {
-    /// Creates the state for an arriving request.
+    /// Creates the state for an arriving request with an SLO of `slo_ms`.
     pub fn new(id: u64, func: FuncId, arrival: SimTime, slo_ms: f64) -> Self {
+        Self::with_slo(id, func, arrival, SimDuration::from_millis_f64(slo_ms))
+    }
+
+    /// Creates the state for an arriving request whose SLO budget is
+    /// already a duration (the engine converts each function's SLO once
+    /// per run, not once per request).
+    pub fn with_slo(id: u64, func: FuncId, arrival: SimTime, slo: SimDuration) -> Self {
         RequestState {
             id,
             func,
             arrival,
-            deadline: arrival + ffs_sim::SimDuration::from_millis_f64(slo_ms),
+            deadline: arrival + slo,
             completed: None,
             exec_ms: 0.0,
             load_ms: 0.0,
@@ -90,7 +97,6 @@ impl RequestState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffs_sim::SimDuration;
 
     #[test]
     fn deadline_derived_from_slo() {

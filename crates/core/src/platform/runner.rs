@@ -76,12 +76,12 @@ pub struct RunOutput {
 impl RunOutput {
     /// The end-to-end latency CDF across all apps.
     pub fn latency_cdf(&self) -> LatencyCdf {
-        LatencyCdf::new(self.log.latencies_ms())
+        LatencyCdf::from_micros(self.log.latencies_us())
     }
 
     /// The latency CDF for one app index.
     pub fn latency_cdf_for(&self, app_index: usize) -> LatencyCdf {
-        LatencyCdf::new(self.log.latencies_ms_for(app_index))
+        LatencyCdf::from_micros(self.log.latencies_us_for(app_index))
     }
 
     /// Completed-request throughput (req/s) over the run.

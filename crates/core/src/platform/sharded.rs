@@ -174,8 +174,7 @@ impl CellState {
         } = msg;
         let core = &mut self.engine.core;
         let local = core.requests.len() as u64;
-        let slo_ms = core.catalog.slo_ms(func);
-        let mut state = RequestState::new(local, func, arrival, slo_ms);
+        let mut state = RequestState::with_slo(local, func, arrival, core.slo[func]);
         state.tenant = tenant;
         core.requests.push(state);
         self.global_ids.push(global_id);

@@ -52,10 +52,28 @@
 //! `debug_assert_hot_consistent` re-derives the whole index in debug
 //! builds, and `crates/core/tests/proptest_route_index.rs` pins
 //! index-vs-scan equivalence on random mutation sequences.
+//!
+//! ## Exclusive-fleet summary
+//!
+//! The overflow-to-shared rule (§5.3) reads an aggregate of each
+//! function's exclusive fleet — ready and launching counts, occupancy
+//! summed over the ready instances, and the lowest ready bottleneck and
+//! latency estimates — for nearly every request under backlog. The slab
+//! keeps that aggregate per function ([`ExclusiveView`]) and updates it at
+//! the same five sites as the routing index, so reading it is O(1). Counts
+//! and the occupancy sum move by exact integer deltas. A minimum only
+//! improves while instances join the ready set; when the ready instance
+//! holding it leaves, the minimum is recomputed over the function's
+//! remaining ready ids. The minimum of a finite set of finite `f64`s does
+//! not depend on the order it is taken in, so the summary is bit-identical
+//! to the ascending-id scan it replaces
+//! ([`exclusive_view_scan`](super::policy::exclusive_view_scan), compared
+//! by a `debug_assert_eq` and the proptest above).
 
 use crate::instance::{Instance, Phase};
 use crate::platform::catalog::FuncId;
 use crate::platform::events::InstanceId;
+use crate::platform::policy::ExclusiveView;
 use ffs_telemetry::{span, Phase as TelemetryPhase};
 
 /// Sentinel in the `func` column for empty slots.
@@ -102,6 +120,11 @@ pub struct InstanceSlab {
     /// The routing index: per-function ascending-id lists of admissible
     /// instances (see the module docs).
     admissible: Vec<Vec<u32>>,
+    /// The exclusive-fleet summary of each function (see the module docs).
+    summary: Vec<ExclusiveView>,
+    /// Ready instance ids of each function, in no particular order — what
+    /// a minimum is recomputed over when its holder leaves the ready set.
+    ready_ids: Vec<Vec<u32>>,
 }
 
 impl InstanceSlab {
@@ -166,10 +189,13 @@ impl InstanceSlab {
         self.func[idx] = inst.func;
         if inst.func >= self.admissible.len() {
             self.admissible.resize_with(inst.func + 1, Vec::new);
+            self.summary.resize(inst.func + 1, ExclusiveView::EMPTY);
+            self.ready_ids.resize_with(inst.func + 1, Vec::new);
         }
         self.slots[idx] = Some(inst);
         self.live += 1;
         self.index_update(idx, false);
+        self.summary_enter(idx);
     }
 
     /// Removes and returns the instance under `id`, if live.
@@ -179,6 +205,7 @@ impl InstanceSlab {
             let idx = id.0 as usize;
             let was =
                 self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
+            self.summary_leave(idx);
             self.phase[idx] = PhaseTag::Empty;
             self.occupancy[idx] = 0;
             self.admit_cap[idx] = 0;
@@ -200,8 +227,74 @@ impl InstanceSlab {
         let was = self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
         let inst = self.slots[idx].as_mut().expect("live instance");
         inst.phase = phase;
-        self.phase[idx] = PhaseTag::of(&phase);
+        let tag = PhaseTag::of(&phase);
+        if tag != self.phase[idx] {
+            self.summary_leave(idx);
+            self.phase[idx] = tag;
+            self.summary_enter(idx);
+        }
         self.index_update(idx, was);
+    }
+
+    /// Adds slot `idx`, in its current phase, to its function's summary.
+    #[inline]
+    fn summary_enter(&mut self, idx: usize) {
+        let v = &mut self.summary[self.func[idx]];
+        match self.phase[idx] {
+            PhaseTag::Ready => {
+                v.ready += 1;
+                v.occupancy += self.occupancy[idx] as usize;
+                v.best_bottleneck_ms = v.best_bottleneck_ms.min(self.bottleneck_ms[idx]);
+                v.best_latency_ms = v.best_latency_ms.min(self.latency_ms[idx]);
+                self.ready_ids[self.func[idx]].push(idx as u32);
+            }
+            PhaseTag::Launching => v.launching += 1,
+            PhaseTag::Draining | PhaseTag::Empty => {}
+        }
+    }
+
+    /// Takes slot `idx`, in its current phase, out of its function's
+    /// summary. A minimum is recomputed over the remaining ready ids only
+    /// when the leaving instance holds it.
+    fn summary_leave(&mut self, idx: usize) {
+        let f = self.func[idx];
+        match self.phase[idx] {
+            PhaseTag::Ready => {
+                let ids = &mut self.ready_ids[f];
+                let pos = ids
+                    .iter()
+                    .position(|&x| x as usize == idx)
+                    .expect("ready instance is listed");
+                ids.swap_remove(pos);
+                let v = &mut self.summary[f];
+                v.ready -= 1;
+                v.occupancy -= self.occupancy[idx] as usize;
+                if self.bottleneck_ms[idx] == v.best_bottleneck_ms {
+                    v.best_bottleneck_ms = ids
+                        .iter()
+                        .map(|&i| self.bottleneck_ms[i as usize])
+                        .fold(f64::INFINITY, f64::min);
+                }
+                if self.latency_ms[idx] == v.best_latency_ms {
+                    v.best_latency_ms = ids
+                        .iter()
+                        .map(|&i| self.latency_ms[i as usize])
+                        .fold(f64::INFINITY, f64::min);
+                }
+            }
+            PhaseTag::Launching => self.summary[f].launching -= 1,
+            PhaseTag::Draining | PhaseTag::Empty => {}
+        }
+    }
+
+    /// The exclusive-fleet summary of `f`: ready and launching counts,
+    /// ready occupancy, and the best ready bottleneck and latency
+    /// estimates. O(1); equal to
+    /// [`exclusive_view_scan`](super::policy::exclusive_view_scan) over
+    /// the function's instances.
+    #[inline]
+    pub fn exclusive_view(&self, f: FuncId) -> ExclusiveView {
+        self.summary.get(f).copied().unwrap_or(ExclusiveView::EMPTY)
     }
 
     /// Reconciles slot `idx`'s routing-index membership after a column
@@ -293,6 +386,9 @@ impl InstanceSlab {
         let idx = id.0 as usize;
         let was = self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
         self.occupancy[idx] += 1;
+        if self.phase[idx] == PhaseTag::Ready {
+            self.summary[self.func[idx]].occupancy += 1;
+        }
         self.index_update(idx, was);
     }
 
@@ -312,6 +408,9 @@ impl InstanceSlab {
             let was =
                 self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
             self.occupancy[idx] -= 1;
+            if self.phase[idx] == PhaseTag::Ready {
+                self.summary[self.func[idx]].occupancy -= 1;
+            }
             self.index_update(idx, was);
         }
     }
@@ -361,6 +460,17 @@ impl InstanceSlab {
                     .collect();
                 debug_assert_eq!(list, &expect, "routing index diverged for function {f}");
             }
+            for f in 0..self.summary.len() {
+                let ids: Vec<InstanceId> = self
+                    .keys()
+                    .filter(|id| self.func[id.0 as usize] == f)
+                    .collect();
+                debug_assert_eq!(
+                    self.exclusive_view(f),
+                    super::policy::exclusive_view_scan(self, &ids),
+                    "exclusive-fleet summary diverged for function {f}"
+                );
+            }
         }
     }
 
@@ -381,6 +491,10 @@ impl InstanceSlab {
         for list in &mut self.admissible {
             list.clear();
         }
+        self.summary.fill(ExclusiveView::EMPTY);
+        for list in &mut self.ready_ids {
+            list.clear();
+        }
         self.live = 0;
     }
 
@@ -398,6 +512,9 @@ impl InstanceSlab {
             + self.func.capacity()
             + self.admissible.capacity()
             + self.admissible.iter().map(Vec::capacity).sum::<usize>()
+            + self.summary.capacity()
+            + self.ready_ids.capacity()
+            + self.ready_ids.iter().map(Vec::capacity).sum::<usize>()
     }
 
     /// Live instance ids, ascending.

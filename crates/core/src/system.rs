@@ -91,7 +91,7 @@ impl SharedPoolPolicy for FluidSharedPool {
         now: SimTime,
         sched: &mut Scheduler<Event>,
     ) -> bool {
-        let mem = core.catalog.profile(f).total_mem_gb();
+        let mem = core.mem_gb[f];
         // Prefer an empty slot, then growing the pool; share (and pay
         // evictions) only when the fleet has no spare slice — eviction-based
         // sharing exists to ride out scarcity, not to thrash under
@@ -200,7 +200,7 @@ impl SharedPoolPolicy for FluidSharedPool {
             let util = slot.take_utilization(now, window);
             if util > core.cfg.promote_utilization && slot.queue.len() > 1 {
                 if let Some(&f) = slot.bound.first() {
-                    let mem = core.catalog.profile(f).total_mem_gb();
+                    let mem = core.mem_gb[f];
                     grow_for.push((f, mem));
                 }
             }

@@ -13,12 +13,18 @@
 //! * the argmin-latency winner over the index equals the winner of the
 //!   full filter-scan it replaced (strict `<`, so the lowest id wins
 //!   ties — the first-best-by-id contract routing relies on);
+//! * the slab's O(1) exclusive-fleet summary (`exclusive_view`) equals
+//!   the scan it replaced (`exclusive_view_scan`) over the function's
+//!   instances, ascending;
 //! * `debug_assert_hot_consistent` passes (record and columns in
 //!   lockstep).
 //!
 //! Latencies are drawn from a tiny set so ties are the common case, and
 //! bottleneck times are chosen to give admission caps of 1–3 so
-//! admissions actually saturate instances in and out of the index.
+//! admissions actually saturate instances in and out of the index. Two
+//! extra ops take the ready instance holding a function's minimum latency
+//! or bottleneck out of the ready set (removal, draining), the only
+//! mutations that make the summary recompute a minimum.
 
 use proptest::prelude::*;
 
@@ -29,6 +35,7 @@ use ffs_pipeline::{DeploymentPlan, InstanceEstimate};
 use ffs_sim::SimTime;
 use fluidfaas::instance::{Instance, Phase, StageTimings};
 use fluidfaas::platform::events::InstanceId;
+use fluidfaas::platform::policy::exclusive_view_scan;
 use fluidfaas::platform::slab::{InstanceSlab, PhaseTag};
 
 /// Functions the test spreads instances across.
@@ -111,12 +118,44 @@ fn argmin_full_scan(slab: &InstanceSlab, model: &[(u64, usize)], f: usize) -> Op
     best.map(|(id, _)| id)
 }
 
+/// The live instances of `f`, ascending by id.
+fn ids_of(model: &[(u64, usize)], f: usize) -> Vec<InstanceId> {
+    let mut ids: Vec<InstanceId> = model
+        .iter()
+        .filter(|&&(_, func)| func == f)
+        .map(|&(id, _)| InstanceId(id))
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// The lowest-id ready instance of `f` holding the minimum of `column`
+/// over `f`'s ready instances.
+fn min_holder(
+    slab: &InstanceSlab,
+    model: &[(u64, usize)],
+    f: usize,
+    column: fn(&InstanceSlab, InstanceId) -> f64,
+) -> Option<InstanceId> {
+    let mut best: Option<(InstanceId, f64)> = None;
+    for id in ids_of(model, f) {
+        if slab.phase_tag(id) != PhaseTag::Ready {
+            continue;
+        }
+        let v = column(slab, id);
+        if best.is_none_or(|(_, b)| v < b) {
+            best = Some((id, v));
+        }
+    }
+    best.map(|(id, _)| id)
+}
+
 proptest! {
     /// Index ≡ full scan after every mutation of a random operation
     /// sequence.
     #[test]
     fn index_matches_full_scan(
-        ops in proptest::collection::vec((0u8..5, 0usize..64, 0u8..8), 1..96),
+        ops in proptest::collection::vec((0u8..7, 0usize..64, 0u8..8), 1..96),
     ) {
         let mut slab = InstanceSlab::new();
         // (id, func) of every live instance — the test's own model.
@@ -171,6 +210,21 @@ proptest! {
                         slab.note_stage_finished(iid, 0, true);
                     }
                 }
+                // Remove the ready instance holding its function's
+                // minimum latency (ties: the lowest id of several holders).
+                5 => {
+                    if let Some(id) = min_holder(&slab, &model, pick % FUNCS, InstanceSlab::latency_ms_of) {
+                        model.retain(|&(m, _)| m != id.0);
+                        prop_assert!(slab.remove(&id).is_some());
+                    }
+                }
+                // Drain the ready instance holding its function's minimum
+                // bottleneck.
+                6 => {
+                    if let Some(id) = min_holder(&slab, &model, pick % FUNCS, InstanceSlab::bottleneck_ms_of) {
+                        slab.set_phase(&id, Phase::Draining);
+                    }
+                }
                 _ => {}
             }
 
@@ -189,6 +243,12 @@ proptest! {
                     argmin_index(&slab, slab.admissible_of(f)),
                     argmin_full_scan(&slab, &model, f),
                     "argmin winner diverged for function {}",
+                    f
+                );
+                prop_assert_eq!(
+                    slab.exclusive_view(f),
+                    exclusive_view_scan(&slab, &ids_of(&model, f)),
+                    "exclusive-fleet summary diverged for function {}",
                     f
                 );
             }

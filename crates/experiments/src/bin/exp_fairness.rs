@@ -4,7 +4,8 @@
 //!
 //! Prints the per-tenant fairness table plus grep-friendly
 //! `fairness_*=` lines the `fairness-smoke` CI job asserts on, and
-//! records the sweep summary in `BENCH_harness.json`.
+//! records the sweep summary in `BENCH_fairness.json` (`BENCH_harness.json`
+//! belongs to `exp_all`'s sweep).
 use std::path::Path;
 use std::time::Instant;
 
@@ -49,9 +50,9 @@ fn main() {
         "harness: {} runs in {:.1}s wall ({:.2} runs/s, {:.1}s simulated busy, {} threads)",
         report.runs, report.total_secs, report.runs_per_sec, report.busy_secs, report.threads
     );
-    match parallel::write_bench_json(Path::new("BENCH_harness.json"), &report) {
-        Ok(()) => eprintln!("harness: wrote BENCH_harness.json"),
-        Err(e) => eprintln!("harness: could not write BENCH_harness.json: {e}"),
+    match parallel::write_bench_json(Path::new("BENCH_fairness.json"), &report) {
+        Ok(()) => eprintln!("harness: wrote BENCH_fairness.json"),
+        Err(e) => eprintln!("harness: could not write BENCH_fairness.json: {e}"),
     }
     match ffs_telemetry::write_prometheus_file(Path::new("telemetry.prom")) {
         Ok(()) => eprintln!("harness: wrote telemetry.prom"),

@@ -1,7 +1,7 @@
 //! Scale sweep: thousand-GPU fleets on the sharded engine, each fleet
 //! run at 1 lane and `FFS_SHARDS` lanes with a digest cross-check.
 //! Writes the harness summary (with a `"scale"` section) to
-//! `BENCH_harness.json`.
+//! `BENCH_scale.json` (`BENCH_harness.json` belongs to `exp_all`'s sweep).
 use std::path::Path;
 use std::time::Instant;
 
@@ -32,9 +32,9 @@ fn main() {
         report.events, report.events_per_sec
     );
     eprint!("harness: {}", parallel::render_phase_table(&report));
-    match parallel::write_bench_json(Path::new("BENCH_harness.json"), &report) {
-        Ok(()) => eprintln!("harness: wrote BENCH_harness.json"),
-        Err(e) => eprintln!("harness: could not write BENCH_harness.json: {e}"),
+    match parallel::write_bench_json(Path::new("BENCH_scale.json"), &report) {
+        Ok(()) => eprintln!("harness: wrote BENCH_scale.json"),
+        Err(e) => eprintln!("harness: could not write BENCH_scale.json: {e}"),
     }
     if report.scale.as_ref().is_some_and(|s| s.cross_check != "ok") {
         eprintln!("harness: ERROR: lane-count digest cross-check failed");

@@ -1,6 +1,58 @@
 //! Latency CDFs and percentiles (Figures 11–13).
+//!
+//! A run's latencies are whole microseconds at source, so the run-level
+//! CDFs are built by [`LatencyCdf::from_micros`]: an LSD radix sort of the
+//! integer keys, then the same µs → ms map
+//! [`RequestRecord::latency_ms`](crate::RequestRecord::latency_ms) applies.
+//! That map is monotone, so the result is bit-identical to sorting the
+//! `f64` latencies with `total_cmp`. [`LatencyCdf::new`] stays for
+//! arbitrary `f64` samples.
 
 use serde::{Deserialize, Serialize};
+
+use crate::record::micros_to_ms;
+
+/// Bits of key consumed per radix pass: 2,048 buckets, whose counts fit
+/// in L1.
+const RADIX_BITS: u32 = 11;
+
+/// Below this many keys a comparison sort beats the radix passes' fixed
+/// cost of clearing and scanning the bucket counts.
+const RADIX_MIN_LEN: usize = 256;
+
+/// Sorts `keys` ascending: an LSD radix sort with [`RADIX_BITS`]-bit
+/// digits and as many passes as the largest key needs, or a comparison
+/// sort for short inputs.
+fn radix_sort(keys: &mut Vec<u64>) {
+    if keys.len() < RADIX_MIN_LEN {
+        keys.sort_unstable();
+        return;
+    }
+    let max = keys.iter().copied().max().unwrap_or(0);
+    let passes = (u64::BITS - max.leading_zeros()).div_ceil(RADIX_BITS);
+    let mask = (1u64 << RADIX_BITS) - 1;
+    let mut counts = vec![0usize; 1 << RADIX_BITS];
+    let mut scratch = vec![0u64; keys.len()];
+    for pass in 0..passes {
+        let shift = pass * RADIX_BITS;
+        counts.fill(0);
+        for &k in keys.iter() {
+            counts[((k >> shift) & mask) as usize] += 1;
+        }
+        let mut next = 0;
+        for c in &mut counts {
+            let n = *c;
+            *c = next;
+            next += n;
+        }
+        for &k in keys.iter() {
+            let d = ((k >> shift) & mask) as usize;
+            scratch[counts[d]] = k;
+            counts[d] += 1;
+        }
+        std::mem::swap(keys, &mut scratch);
+    }
+}
 
 /// An empirical latency distribution.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -24,6 +76,17 @@ impl LatencyCdf {
         // sort yields the same vector as a stable one, without its buffer.
         samples.sort_unstable_by(f64::total_cmp);
         LatencyCdf { sorted_ms: samples }
+    }
+
+    /// Builds a CDF from whole-microsecond latencies, reported in ms as
+    /// [`RequestRecord::latency_ms`](crate::RequestRecord::latency_ms)
+    /// does. Bit-identical to `LatencyCdf::new` over those ms values, at
+    /// the cost of a radix sort instead of a comparison sort.
+    pub fn from_micros(mut micros: Vec<u64>) -> Self {
+        radix_sort(&mut micros);
+        LatencyCdf {
+            sorted_ms: micros.into_iter().map(micros_to_ms).collect(),
+        }
     }
 
     /// Number of samples.
@@ -173,6 +236,52 @@ mod tests {
         assert_eq!(cdf.p50(), Some(1.0));
         assert_eq!(cdf.percentile(1.0), Some(2.0));
         assert_eq!(ffs_obs::nonfinite_latency_samples() - before, 3);
+    }
+
+    /// `from_micros` against the comparison sort it replaces: the ms
+    /// values `RequestRecord::latency_ms` reports, sorted by `total_cmp`.
+    fn assert_matches_comparison_sort(micros: Vec<u64>) {
+        let mut expect: Vec<f64> = micros.iter().map(|&us| micros_to_ms(us)).collect();
+        expect.sort_unstable_by(f64::total_cmp);
+        let cdf = LatencyCdf::from_micros(micros);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&cdf.sorted_ms), bits(&expect));
+    }
+
+    #[test]
+    fn from_micros_matches_comparison_sort_bit_for_bit() {
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        assert_matches_comparison_sort(vec![]);
+        assert_matches_comparison_sort(vec![1_234]);
+        assert_matches_comparison_sort(vec![0; 1_000]);
+        assert_matches_comparison_sort(vec![77_777; 1_000]);
+        // Keys above 2^33 µs need four 11-bit passes; u64::MAX needs six.
+        let big: Vec<u64> = (0..2_000)
+            .map(|i| (1u64 << 33) + next() % (1u64 << 40) + i % 3)
+            .chain([0, u64::MAX, 1u64 << 33])
+            .collect();
+        assert_matches_comparison_sort(big);
+        // Sizes on both sides of the small-input cutoff, with zeros and
+        // duplicates mixed in.
+        for n in [RADIX_MIN_LEN - 1, RADIX_MIN_LEN, RADIX_MIN_LEN + 1, 20_000] {
+            let v: Vec<u64> = (0..n)
+                .map(|_| {
+                    let r = next();
+                    if r.is_multiple_of(7) {
+                        0
+                    } else {
+                        r % 5_000_000
+                    }
+                })
+                .collect();
+            assert_matches_comparison_sort(v);
+        }
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //!   of Figure 14 (queueing / loading / execution / data transfer), SLO hit
 //!   accounting (Figure 9) and completion throughput (Figure 10).
 //! * [`cdf`] — latency CDFs and percentiles (Figures 11–13, P95 tail
-//!   latency claims).
+//!   latency claims). Run logs build theirs with
+//!   [`LatencyCdf::from_micros`]: a radix sort of the integer-µs
+//!   latencies ([`RequestLog::latencies_us`]), bit-identical to sorting
+//!   the ms values, which [`LatencyCdf::new`] still does for arbitrary
+//!   `f64` samples.
 //! * [`timeline`] — binned time series of utilization (Figures 3 and 16)
 //!   and the occupied-vs-active accounting of Figure 5.
 //! * [`cost`] — "GPU time" and "MIG time" accounting per §6 (Table 6): a

@@ -25,6 +25,15 @@ impl Breakdown {
     }
 }
 
+/// A whole-microsecond latency in ms, exactly as
+/// [`RequestRecord::latency_ms`] reports it. Monotone non-decreasing in
+/// `us` (an integer-to-float conversion and two correctly rounded
+/// operations by positive constants), so it maps sorted keys to sorted
+/// values.
+pub(crate) fn micros_to_ms(us: u64) -> f64 {
+    SimDuration::from_micros(us).as_secs_f64() * 1_000.0
+}
+
 /// One completed (or dropped) request.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct RequestRecord {
@@ -50,8 +59,13 @@ pub struct RequestRecord {
 impl RequestRecord {
     /// End-to-end latency in ms, if completed.
     pub fn latency_ms(&self) -> Option<f64> {
+        self.latency_us().map(micros_to_ms)
+    }
+
+    /// End-to-end latency in whole microseconds, if completed.
+    pub fn latency_us(&self) -> Option<u64> {
         self.completed
-            .map(|c| c.saturating_since(self.arrival).as_secs_f64() * 1_000.0)
+            .map(|c| c.saturating_since(self.arrival).as_micros())
     }
 
     /// True if the request completed within its SLO.
@@ -117,48 +131,6 @@ impl RequestLog {
             .filter(move |r| r.app_index == app_index)
     }
 
-    /// Records for one tenant.
-    pub fn for_tenant(&self, tenant: u32) -> impl Iterator<Item = &RequestRecord> {
-        self.records.iter().filter(move |r| r.tenant == tenant)
-    }
-
-    /// The distinct tenants appearing in the log, ascending.
-    pub fn tenants(&self) -> Vec<u32> {
-        let mut t: Vec<u32> = self.records.iter().map(|r| r.tenant).collect();
-        t.sort_unstable();
-        t.dedup();
-        t
-    }
-
-    /// SLO hit rate for one tenant (vacuous 1.0 when the tenant has no
-    /// records, mirroring [`Self::slo_hit_rate_for`]).
-    pub fn slo_hit_rate_for_tenant(&self, tenant: u32) -> f64 {
-        let (hits, total) = self.for_tenant(tenant).fold((0usize, 0usize), |(h, t), r| {
-            (h + usize::from(r.slo_hit()), t + 1)
-        });
-        if total == 0 {
-            1.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
-    /// Completed requests per second for one tenant over `duration`.
-    pub fn throughput_rps_for_tenant(&self, tenant: u32, duration: SimDuration) -> f64 {
-        let done = self
-            .for_tenant(tenant)
-            .filter(|r| r.completed.is_some())
-            .count();
-        done as f64 / duration.as_secs_f64()
-    }
-
-    /// Completed-request latencies for one tenant.
-    pub fn latencies_ms_for_tenant(&self, tenant: u32) -> Vec<f64> {
-        self.for_tenant(tenant)
-            .filter_map(|r| r.latency_ms())
-            .collect()
-    }
-
     /// Fraction of requests completed within their SLO (Figure 9). Unfilled
     /// requests count as misses. Returns 1.0 for an empty log.
     pub fn slo_hit_rate(&self) -> f64 {
@@ -196,10 +168,20 @@ impl RequestLog {
         self.records.iter().filter_map(|r| r.latency_ms()).collect()
     }
 
-    /// Completed-request latencies for one app.
-    pub fn latencies_ms_for(&self, app_index: usize) -> Vec<f64> {
+    /// Completed-request latencies in whole microseconds, the unit the
+    /// simulation clock keeps them in (input of
+    /// [`LatencyCdf::from_micros`](crate::LatencyCdf::from_micros)).
+    pub fn latencies_us(&self) -> Vec<u64> {
+        self.records
+            .iter()
+            .filter_map(RequestRecord::latency_us)
+            .collect()
+    }
+
+    /// Completed-request latencies for one app, in microseconds.
+    pub fn latencies_us_for(&self, app_index: usize) -> Vec<u64> {
         self.for_app(app_index)
-            .filter_map(|r| r.latency_ms())
+            .filter_map(RequestRecord::latency_us)
             .collect()
     }
 

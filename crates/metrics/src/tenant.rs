@@ -7,6 +7,8 @@
 //! fairness experiments therefore report per-tenant attainment (after
 //! HAS-GPU) and a single scalar fairness figure (Jain's index) per system.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use ffs_sim::SimDuration;
@@ -70,25 +72,43 @@ pub struct TenantReport {
 
 impl TenantReport {
     /// Builds the per-tenant report from a request log and the run
-    /// duration (used for throughput normalisation).
+    /// duration (used for throughput normalisation), in one pass over the
+    /// log.
     pub fn from_log(log: &RequestLog, duration: SimDuration) -> Self {
+        /// Per-tenant tallies gathered in the pass.
+        #[derive(Default)]
+        struct Tally {
+            requests: usize,
+            completed: usize,
+            slo_hits: usize,
+            latencies_us: Vec<u64>,
+        }
+        let mut tallies: BTreeMap<u32, Tally> = BTreeMap::new();
+        for r in log.records() {
+            let t = tallies.entry(r.tenant).or_default();
+            t.requests += 1;
+            t.slo_hits += usize::from(r.slo_hit());
+            if let Some(us) = r.latency_us() {
+                t.completed += 1;
+                t.latencies_us.push(us);
+            }
+        }
         let secs = duration.as_secs_f64().max(1e-9);
-        let mut tenants = Vec::new();
-        let mut rates = Vec::new();
-        let mut goodputs = Vec::new();
-        for t in log.tenants() {
-            let lat = log.latencies_ms_for_tenant(t);
-            let cdf = LatencyCdf::new(lat);
-            let rps = log.throughput_rps_for_tenant(t, duration);
-            let goodput = log.for_tenant(t).filter(|r| r.slo_hit()).count() as f64 / secs;
+        let mut tenants = Vec::with_capacity(tallies.len());
+        let mut rates = Vec::with_capacity(tallies.len());
+        let mut goodputs = Vec::with_capacity(tallies.len());
+        for (tenant, t) in tallies {
+            let cdf = LatencyCdf::from_micros(t.latencies_us);
+            let rps = t.completed as f64 / duration.as_secs_f64();
+            let goodput = t.slo_hits as f64 / secs;
             rates.push(rps);
             goodputs.push(goodput);
             tenants.push(TenantStats {
-                tenant: t,
-                requests: log.for_tenant(t).count(),
+                tenant,
+                requests: t.requests,
                 throughput_rps: rps,
                 goodput_rps: goodput,
-                slo_attainment: log.slo_hit_rate_for_tenant(t),
+                slo_attainment: t.slo_hits as f64 / t.requests as f64,
                 p50_ms: cdf.p50(),
                 p99_ms: cdf.p99(),
             });
