@@ -5,14 +5,15 @@
 //! maintained exclusive-fleet summary against the per-request scan it
 //! replaced, the incremental plan-cache signature against recomputing it
 //! from the free-slice list, the radix latency CDF against the comparison
-//! sort, and an end-to-end run that exercises every hot-path change at
-//! once.
+//! sort, preloaded arrivals against arrivals pushed through the wheel, a
+//! harness summary over a saturated run's request log, and an end-to-end
+//! run that exercises every hot-path change at once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BinaryHeap;
 use std::hint::black_box;
 
-use ffs_metrics::LatencyCdf;
+use ffs_metrics::{Breakdown, LatencyCdf, RequestLog, RequestRecord};
 use ffs_mig::{Fleet, GpuId, NodeId, SliceId, SliceProfile};
 use ffs_pipeline::plan::StagePlan;
 use ffs_pipeline::{DeploymentPlan, InstanceEstimate};
@@ -445,6 +446,110 @@ fn bench_latency_cdf(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------
+// Arrival ingest: preloaded stream vs pushes through the wheel
+// ---------------------------------------------------------------------
+
+/// Trace-sized arrival count (a saturating 1200 s trace offers ~250k).
+const ARRIVALS: usize = 250_000;
+
+/// Each arrival schedules one follow-up (a stage completion 1–100 ms
+/// later); follow-ups schedule nothing.
+struct Ingest {
+    rng: u64,
+}
+
+impl World for Ingest {
+    type Event = u32;
+    fn handle(&mut self, _t: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+        if (ev as usize) < ARRIVALS {
+            let d = 1_000 + xorshift(&mut self.rng) % 99_000;
+            sched.after(ffs_sim::SimDuration::from_micros(d), ev + ARRIVALS as u32);
+        }
+    }
+}
+
+/// A sorted trace's arrivals loaded and drained two ways: the sorted bulk
+/// path (`preload_sorted`, whose stream the drain merges with the wheel)
+/// against pushing the same arrivals one by one with `Scheduler::at`.
+/// Same delivery order either way; the delta is what routing arrivals
+/// through the wheel's levels and cascades costs.
+fn bench_arrival_ingest(c: &mut Criterion) {
+    // Poisson-like gaps averaging 4.8 ms: 250k arrivals over ~1200 s.
+    let arrivals: Vec<SimTime> = {
+        let mut x = SEED;
+        let mut t = 0u64;
+        (0..ARRIVALS)
+            .map(|_| {
+                t += xorshift(&mut x) % 9_600;
+                SimTime::from_micros(t)
+            })
+            .collect()
+    };
+    let mut g = c.benchmark_group("arrival_ingest_250k");
+    g.sample_size(10);
+    g.bench_function("preload_sorted", |b| {
+        b.iter(|| {
+            let mut s: Scheduler<u32> = Scheduler::new();
+            s.preload_sorted(arrivals.iter().enumerate().map(|(i, &t)| (t, i as u32)));
+            run_until(&mut Ingest { rng: SEED }, &mut s, SimTime::MAX);
+            black_box(s.executed())
+        })
+    });
+    g.bench_function("pushed_at", |b| {
+        b.iter(|| {
+            let mut s: Scheduler<u32> = Scheduler::new();
+            for (i, &t) in arrivals.iter().enumerate() {
+                s.at(t, i as u32);
+            }
+            run_until(&mut Ingest { rng: SEED }, &mut s, SimTime::MAX);
+            black_box(s.executed())
+        })
+    });
+    g.finish();
+}
+
+// ---------------------------------------------------------------------
+// Log summary over a saturated run's request log
+// ---------------------------------------------------------------------
+
+/// What a harness computes from every run's log: SLO hits, completions
+/// and the latency CDF's p50/p99, over 250k records of which about two
+/// thirds are abandoned (the saturated-backlog shape).
+fn bench_log_summary(c: &mut Criterion) {
+    let mut log = RequestLog::new();
+    let mut rng = SEED;
+    for id in 0..ARRIVALS as u64 {
+        let r = xorshift(&mut rng);
+        let arrival = SimTime::from_micros(id * 4_800);
+        let mut rec = RequestRecord {
+            id,
+            arrival,
+            completed: None,
+            slo_ms: 500.0,
+            app_index: (r % 4) as u32,
+            tenant: 0,
+        };
+        if r.is_multiple_of(3) {
+            rec.completed = Some(arrival + ffs_sim::SimDuration::from_micros(r % 2_000_000));
+            log.push_completed(rec, Breakdown::default());
+        } else {
+            log.push_abandoned(rec);
+        }
+    }
+    let mut g = c.benchmark_group("log_summary_250k");
+    g.bench_function("hits_completed_cdf", |b| {
+        b.iter(|| {
+            let records = log.records();
+            let hits = records.iter().filter(|r| r.slo_hit()).count();
+            let completed = records.iter().filter(|r| r.completed.is_some()).count();
+            let cdf = LatencyCdf::from_micros(log.latencies_us());
+            black_box((hits, completed, cdf.p50(), cdf.p99()))
+        })
+    });
+    g.finish();
+}
+
+// ---------------------------------------------------------------------
 // Plan-cache hit: incremental signature vs recomputed signature
 // ---------------------------------------------------------------------
 
@@ -511,6 +616,8 @@ criterion_group!(
     bench_overflow_view,
     bench_plan_cache_hit,
     bench_latency_cdf,
+    bench_arrival_ingest,
+    bench_log_summary,
     bench_end_to_end
 );
 criterion_main!(hotpath);

@@ -20,7 +20,7 @@ pub struct MetricsHub {
     pub allocated_gpcs: BinnedSeries,
     /// The ideal GPC demand over time (Figure 3's "required resources").
     pub required_gpcs: BinnedSeries,
-    app_of_func: Vec<usize>,
+    app_of_func: Vec<u32>,
     slo_of_func: Vec<f64>,
 }
 
@@ -35,7 +35,7 @@ impl MetricsHub {
             required_gpcs: BinnedSeries::new(bin),
             app_of_func: catalog
                 .ids()
-                .map(|f| catalog.profile(f).app.index())
+                .map(|f| catalog.profile(f).app.index() as u32)
                 .collect(),
             slo_of_func: catalog.ids().map(|f| catalog.slo_ms(f)).collect(),
         }
@@ -65,21 +65,23 @@ impl MetricsHub {
             let slo_ms = self.slo_of_func[req.func];
             ffs_obs::record(|| ffs_obs::ObsEvent::RequestCompleted {
                 req: req.id,
-                app: self.app_of_func[req.func] as u32,
+                app: self.app_of_func[req.func],
                 latency_ms,
                 slo_ms,
                 slo_met: latency_ms <= slo_ms,
             });
         }
-        self.log.push(RequestRecord {
-            id: req.id,
-            app_index: self.app_of_func[req.func],
-            arrival: req.arrival,
-            completed: req.completed,
-            slo_ms: self.slo_of_func[req.func],
+        self.log.push_completed(
+            RequestRecord {
+                id: req.id,
+                app_index: self.app_of_func[req.func],
+                arrival: req.arrival,
+                completed: req.completed,
+                slo_ms: self.slo_of_func[req.func],
+                tenant: req.tenant,
+            },
             breakdown,
-            tenant: req.tenant,
-        });
+        );
     }
 
     /// Records a request that never completed (dropped or unfinished at
@@ -87,15 +89,14 @@ impl MetricsHub {
     pub fn abandon(&mut self, req: &RequestState) {
         ffs_obs::record(|| ffs_obs::ObsEvent::RequestAbandoned {
             req: req.id,
-            app: self.app_of_func[req.func] as u32,
+            app: self.app_of_func[req.func],
         });
-        self.log.push(RequestRecord {
+        self.log.push_abandoned(RequestRecord {
             id: req.id,
             app_index: self.app_of_func[req.func],
             arrival: req.arrival,
             completed: None,
             slo_ms: self.slo_of_func[req.func],
-            breakdown: Breakdown::default(),
             tenant: req.tenant,
         });
     }

@@ -94,8 +94,8 @@ impl RunOutput {
 /// scale tick, runs to completion (trace end + drain), finalises metrics.
 pub fn run_platform<P: Platform>(platform: &mut P, trace: &Trace) -> RunOutput {
     // All arrivals go in up front via the sorted bulk path (traces are
-    // sorted by arrival), which keeps them out of the scheduler's overflow
-    // heap; only dynamically scheduled far-future events pay heap ops.
+    // sorted by arrival), which keeps them out of the scheduler's wheel
+    // and overflow heap: the drain merges them in as they come due.
     // The scheduler itself comes from the thread's run arena, so its node
     // pool arrives already grown to an earlier run's peak.
     let setup = ffs_telemetry::span(ffs_telemetry::Phase::EngineSetup);

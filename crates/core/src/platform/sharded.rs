@@ -405,10 +405,16 @@ where
         faults.rebuilds += f.rebuilds;
         faults.recoveries += f.recoveries;
         let hub: MetricsHub = st.engine.take_hub();
-        for &rec in hub.log.records() {
-            let mut rec = rec;
-            rec.id = st.global_ids[rec.id as usize];
-            log.push(rec);
+        for (&rec, breakdown) in hub.log.records_with_breakdowns() {
+            let rec = ffs_metrics::RequestRecord {
+                id: st.global_ids[rec.id as usize],
+                ..rec
+            };
+            if rec.completed.is_some() {
+                log.push_completed(rec, breakdown);
+            } else {
+                log.push_abandoned(rec);
+            }
         }
         let c = hub.cost.finalize(end);
         cost.gpu_time_secs.extend(c.gpu_time_secs);
@@ -545,9 +551,9 @@ fn merge_curve(into: &mut Vec<(f64, f64)>, add: &[(f64, f64)]) {
 pub fn run_output_digest(out: &RunOutput) -> u64 {
     let mut h = Fnv::new();
     h.u64(out.log.len() as u64);
-    for r in out.log.records() {
+    for (r, b) in out.log.records_with_breakdowns() {
         h.u64(r.id);
-        h.u64(r.app_index as u64);
+        h.u64(u64::from(r.app_index));
         h.u64(r.arrival.as_micros());
         match r.completed {
             None => h.u64(0),
@@ -557,10 +563,10 @@ pub fn run_output_digest(out: &RunOutput) -> u64 {
             }
         }
         h.f64(r.slo_ms);
-        h.f64(r.breakdown.queue_ms);
-        h.f64(r.breakdown.load_ms);
-        h.f64(r.breakdown.exec_ms);
-        h.f64(r.breakdown.transfer_ms);
+        h.f64(b.queue_ms);
+        h.f64(b.load_ms);
+        h.f64(b.exec_ms);
+        h.f64(b.transfer_ms);
     }
     for v in [
         &out.cost.gpu_time_secs,

@@ -7,8 +7,8 @@
 //! once on a single lane and once on `FFS_SHARDS` lanes — cross-checking
 //! that both produce the same [`fluidfaas::run_output_digest`]. Rows
 //! report runs/s, events/s, peak RSS, forwarding volume and per-cell
-//! event imbalance; `exp_scale` folds them into `BENCH_harness.json`
-//! under the `"scale"` key.
+//! event imbalance; `exp_scale` writes them to `BENCH_scale.json` under
+//! the `"scale"` key.
 //!
 //! Knobs: `FFS_SCALE_GPUS` (comma-separated fleet sizes, default
 //! `16,256,4096`), `FFS_SCALE_FUNCS` (tenant-function count override),

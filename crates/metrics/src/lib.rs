@@ -3,8 +3,9 @@
 //! Everything the paper's evaluation section measures, as reusable
 //! recorders:
 //!
-//! * [`record`] — per-request lifecycle records with the latency breakdown
-//!   of Figure 14 (queueing / loading / execution / data transfer), SLO hit
+//! * [`record`] — per-request lifecycle records (48 bytes each) with the
+//!   latency breakdown of Figure 14 (queueing / loading / execution / data
+//!   transfer) kept in a column for completed requests only, SLO hit
 //!   accounting (Figure 9) and completion throughput (Figure 10).
 //! * [`cdf`] — latency CDFs and percentiles (Figures 11–13, P95 tail
 //!   latency claims). Run logs build theirs with

@@ -34,13 +34,14 @@ pub(crate) fn micros_to_ms(us: u64) -> f64 {
     SimDuration::from_micros(us).as_secs_f64() * 1_000.0
 }
 
-/// One completed (or dropped) request.
+/// One completed (or dropped) request: identity, timing, SLO and tenant
+/// in 48 bytes. Its latency [`Breakdown`] is not inline: the
+/// [`RequestLog`] keeps breakdowns in a column of their own, for completed
+/// records only (see [`RequestLog::records_with_breakdowns`]).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct RequestRecord {
     /// Trace-wide request id.
     pub id: u64,
-    /// Index of the application (paper's App 0–3).
-    pub app_index: usize,
     /// Arrival at the platform.
     pub arrival: SimTime,
     /// Completion time; `None` for requests dropped or still in flight at
@@ -48,13 +49,15 @@ pub struct RequestRecord {
     pub completed: Option<SimTime>,
     /// The SLO latency budget for this request.
     pub slo_ms: f64,
-    /// Latency breakdown.
-    pub breakdown: Breakdown,
+    /// Index of the application (paper's App 0–3).
+    pub app_index: u32,
     /// Owning tenant (fairness accounting). Defaults to 0 when absent,
     /// so pre-tenant serialized logs still deserialize.
     #[serde(default)]
     pub tenant: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<RequestRecord>() == 48);
 
 impl RequestRecord {
     /// End-to-end latency in ms, if completed.
@@ -78,9 +81,16 @@ impl RequestRecord {
 }
 
 /// Append-only log of request records with aggregate queries.
+///
+/// Records sit in one vector, in log order. Latency breakdowns sit in a
+/// second one, one entry per *completed* record in the same order: an
+/// abandoned request's breakdown is always zero, so it is not stored, and
+/// the two push methods keep "abandoned with a breakdown" unwritable.
+/// [`RequestLog::records_with_breakdowns`] pairs the two back up.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RequestLog {
     records: Vec<RequestRecord>,
+    breakdowns: Vec<Breakdown>,
 }
 
 impl RequestLog {
@@ -89,17 +99,38 @@ impl RequestLog {
         Self::default()
     }
 
-    /// Appends a record. A completion that precedes its own arrival is an
-    /// event-ordering bug: `latency_ms` would silently clamp it to zero, so
-    /// it is counted against the process-wide metric-clamp counter here
-    /// (once per record, not once per latency query).
-    pub fn push(&mut self, r: RequestRecord) {
-        if let Some(c) = r.completed {
-            if c < r.arrival {
-                debug_assert!(false, "request {} completed before it arrived", r.id);
-                ffs_obs::note_metric_clamp();
-            }
+    /// Appends a completed request and its latency breakdown. A
+    /// completion that precedes its own arrival is an event-ordering bug:
+    /// `latency_ms` would silently clamp it to zero, so it is counted
+    /// against the process-wide metric-clamp counter here (once per
+    /// record, not once per latency query).
+    ///
+    /// # Panics
+    /// Panics if `r.completed` is `None`: breakdowns pair with completed
+    /// records by position.
+    pub fn push_completed(&mut self, r: RequestRecord, breakdown: Breakdown) {
+        let completed = r
+            .completed
+            .expect("a completed record has a completion time");
+        if completed < r.arrival {
+            debug_assert!(false, "request {} completed before it arrived", r.id);
+            ffs_obs::note_metric_clamp();
         }
+        self.records.push(r);
+        self.breakdowns.push(breakdown);
+    }
+
+    /// Appends a request that never completed (dropped, or unfinished at
+    /// the end of the run); its breakdown is zero.
+    ///
+    /// # Panics
+    /// Panics if `r.completed` is `Some`.
+    pub fn push_abandoned(&mut self, r: RequestRecord) {
+        assert!(
+            r.completed.is_none(),
+            "abandoned request {} has a completion time",
+            r.id
+        );
         self.records.push(r);
     }
 
@@ -107,11 +138,27 @@ impl RequestLog {
     /// request count never reallocates on the completion path.
     pub fn reserve(&mut self, n: usize) {
         self.records.reserve(n);
+        self.breakdowns.reserve(n);
     }
 
     /// All records.
     pub fn records(&self) -> &[RequestRecord] {
         &self.records
+    }
+
+    /// Every record in log order, paired with its latency breakdown; an
+    /// abandoned record pairs with the zero breakdown.
+    pub fn records_with_breakdowns(&self) -> impl Iterator<Item = (&RequestRecord, Breakdown)> {
+        let mut completed = self.breakdowns.iter();
+        self.records.iter().map(move |r| {
+            let b = match r.completed {
+                Some(_) => *completed
+                    .next()
+                    .expect("one breakdown per completed record"),
+                None => Breakdown::default(),
+            };
+            (r, b)
+        })
     }
 
     /// Number of records.
@@ -128,7 +175,7 @@ impl RequestLog {
     pub fn for_app(&self, app_index: usize) -> impl Iterator<Item = &RequestRecord> {
         self.records
             .iter()
-            .filter(move |r| r.app_index == app_index)
+            .filter(move |r| r.app_index as usize == app_index)
     }
 
     /// Fraction of requests completed within their SLO (Figure 9). Unfilled
@@ -189,12 +236,12 @@ impl RequestLog {
     pub fn mean_breakdown_for(&self, app_index: usize) -> Breakdown {
         let mut acc = Breakdown::default();
         let mut n = 0usize;
-        for r in self.for_app(app_index) {
-            if r.completed.is_some() {
-                acc.queue_ms += r.breakdown.queue_ms;
-                acc.load_ms += r.breakdown.load_ms;
-                acc.exec_ms += r.breakdown.exec_ms;
-                acc.transfer_ms += r.breakdown.transfer_ms;
+        for (r, b) in self.records_with_breakdowns() {
+            if r.app_index as usize == app_index && r.completed.is_some() {
+                acc.queue_ms += b.queue_ms;
+                acc.load_ms += b.load_ms;
+                acc.exec_ms += b.exec_ms;
+                acc.transfer_ms += b.transfer_ms;
                 n += 1;
             }
         }
@@ -220,37 +267,49 @@ impl RequestLog {
 mod tests {
     use super::*;
 
+    /// A record of app `app` arriving at `arrival_s`, with the breakdown
+    /// its latency implies (10 ms queueing, the rest execution).
     fn record(
         id: u64,
-        app: usize,
+        app: u32,
         arrival_s: u64,
         latency_ms: Option<f64>,
         slo_ms: f64,
-    ) -> RequestRecord {
+    ) -> (RequestRecord, Breakdown) {
         let arrival = SimTime::from_secs(arrival_s);
-        RequestRecord {
+        let r = RequestRecord {
             id,
             app_index: app,
             arrival,
             completed: latency_ms.map(|l| arrival + SimDuration::from_millis_f64(l)),
             slo_ms,
-            tenant: app as u32,
-            breakdown: Breakdown {
-                queue_ms: 10.0,
-                load_ms: 0.0,
-                exec_ms: latency_ms.unwrap_or(0.0).max(10.0) - 10.0,
-                transfer_ms: 0.0,
-            },
+            tenant: app,
+        };
+        let b = Breakdown {
+            queue_ms: 10.0,
+            load_ms: 0.0,
+            exec_ms: latency_ms.unwrap_or(0.0).max(10.0) - 10.0,
+            transfer_ms: 0.0,
+        };
+        (r, b)
+    }
+
+    /// Logs `(r, b)` through the push its outcome selects.
+    fn push(log: &mut RequestLog, (r, b): (RequestRecord, Breakdown)) {
+        if r.completed.is_some() {
+            log.push_completed(r, b);
+        } else {
+            log.push_abandoned(r);
         }
     }
 
     #[test]
     fn slo_hit_accounting() {
         let mut log = RequestLog::new();
-        log.push(record(0, 0, 0, Some(100.0), 150.0)); // hit
-        log.push(record(1, 0, 1, Some(200.0), 150.0)); // miss
-        log.push(record(2, 0, 2, None, 150.0)); // dropped: miss
-        log.push(record(3, 1, 3, Some(149.9), 150.0)); // hit
+        push(&mut log, record(0, 0, 0, Some(100.0), 150.0)); // hit
+        push(&mut log, record(1, 0, 1, Some(200.0), 150.0)); // miss
+        push(&mut log, record(2, 0, 2, None, 150.0)); // dropped: miss
+        push(&mut log, record(3, 1, 3, Some(149.9), 150.0)); // hit
         assert!((log.slo_hit_rate() - 0.5).abs() < 1e-12);
         assert!((log.slo_hit_rate_for(0) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(log.slo_hit_rate_for(1), 1.0);
@@ -260,16 +319,16 @@ mod tests {
     #[test]
     fn throughput_counts_only_completed() {
         let mut log = RequestLog::new();
-        log.push(record(0, 0, 0, Some(50.0), 100.0));
-        log.push(record(1, 0, 0, None, 100.0));
+        push(&mut log, record(0, 0, 0, Some(50.0), 100.0));
+        push(&mut log, record(1, 0, 0, None, 100.0));
         assert!((log.throughput_rps(SimDuration::from_secs(10)) - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn latency_and_makespan() {
         let mut log = RequestLog::new();
-        log.push(record(0, 0, 0, Some(100.0), 150.0));
-        log.push(record(1, 0, 5, Some(300.0), 150.0));
+        push(&mut log, record(0, 0, 0, Some(100.0), 150.0));
+        push(&mut log, record(1, 0, 5, Some(300.0), 150.0));
         let lats = log.latencies_ms();
         assert_eq!(lats.len(), 2);
         assert!((lats[1] - 300.0).abs() < 1e-9);
@@ -282,13 +341,66 @@ mod tests {
     #[test]
     fn mean_breakdown_averages_completed_only() {
         let mut log = RequestLog::new();
-        log.push(record(0, 2, 0, Some(110.0), 500.0));
-        log.push(record(1, 2, 0, Some(210.0), 500.0));
-        log.push(record(2, 2, 0, None, 500.0));
+        push(&mut log, record(0, 2, 0, Some(110.0), 500.0));
+        push(&mut log, record(1, 2, 0, Some(210.0), 500.0));
+        push(&mut log, record(2, 2, 0, None, 500.0));
         let b = log.mean_breakdown_for(2);
         assert!((b.queue_ms - 10.0).abs() < 1e-12);
         assert!((b.exec_ms - 150.0).abs() < 1e-12);
         assert!((b.total_ms() - 160.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pairing_follows_log_order_on_a_mixed_log() {
+        // Abandoned records interleave with completed ones of two apps;
+        // each completed record gets back exactly its own breakdown.
+        let mut log = RequestLog::new();
+        let pushed = [
+            record(0, 0, 0, None, 500.0),
+            record(1, 1, 0, Some(40.0), 500.0),
+            record(2, 0, 1, Some(70.0), 500.0),
+            record(3, 1, 1, None, 500.0),
+            record(4, 1, 2, None, 500.0),
+            record(5, 0, 2, Some(25.0), 500.0),
+        ];
+        for p in pushed {
+            push(&mut log, p);
+        }
+        let paired: Vec<(u64, Breakdown)> = log
+            .records_with_breakdowns()
+            .map(|(r, b)| (r.id, b))
+            .collect();
+        assert_eq!(paired.len(), pushed.len());
+        for ((id, b), (r, want)) in paired.iter().zip(&pushed) {
+            assert_eq!(*id, r.id);
+            if r.completed.is_some() {
+                assert_eq!(*b, *want);
+            } else {
+                assert_eq!(*b, Breakdown::default(), "abandoned pairs with zero");
+            }
+        }
+        // App 0: completed records 2 (exec 60) and 5 (exec 15); app 1:
+        // record 1 (exec 30). Abandoned records never enter the mean.
+        let app0 = log.mean_breakdown_for(0);
+        assert!((app0.exec_ms - 37.5).abs() < 1e-12);
+        assert!((app0.queue_ms - 10.0).abs() < 1e-12);
+        let app1 = log.mean_breakdown_for(1);
+        assert!((app1.exec_ms - 30.0).abs() < 1e-12);
+        assert_eq!(log.mean_breakdown_for(3), Breakdown::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "completion time")]
+    fn abandoned_push_rejects_a_completed_record() {
+        let (r, _) = record(0, 0, 0, Some(10.0), 500.0);
+        RequestLog::new().push_abandoned(r);
+    }
+
+    #[test]
+    #[should_panic(expected = "completion time")]
+    fn completed_push_rejects_an_unfinished_record() {
+        let (r, b) = record(0, 0, 0, None, 500.0);
+        RequestLog::new().push_completed(r, b);
     }
 
     #[test]
@@ -298,5 +410,6 @@ mod tests {
         assert!(log.latencies_ms().is_empty());
         assert!(log.makespan().is_none());
         assert_eq!(log.throughput_rps(SimDuration::from_secs(1)), 0.0);
+        assert_eq!(log.records_with_breakdowns().count(), 0);
     }
 }

@@ -142,16 +142,21 @@ mod tests {
     use crate::record::{Breakdown, RequestRecord};
     use ffs_sim::SimTime;
 
-    fn rec(id: u64, tenant: u32, latency_ms: Option<f64>) -> RequestRecord {
+    /// Logs one request of `tenant`: completed after `latency_ms`, or
+    /// abandoned when `None`.
+    fn push(log: &mut RequestLog, id: u64, tenant: u32, latency_ms: Option<f64>) {
         let arrival = SimTime::from_secs(1);
-        RequestRecord {
+        let r = RequestRecord {
             id,
             app_index: 0,
             arrival,
             completed: latency_ms.map(|l| arrival + SimDuration::from_millis_f64(l)),
             slo_ms: 100.0,
-            breakdown: Breakdown::default(),
             tenant,
+        };
+        match latency_ms {
+            Some(_) => log.push_completed(r, Breakdown::default()),
+            None => log.push_abandoned(r),
         }
     }
 
@@ -171,10 +176,10 @@ mod tests {
     #[test]
     fn tenant_report_splits_by_tenant() {
         let mut log = RequestLog::new();
-        log.push(rec(0, 0, Some(50.0)));
-        log.push(rec(1, 0, Some(150.0))); // miss
-        log.push(rec(2, 1, Some(10.0)));
-        log.push(rec(3, 1, None)); // abandoned: miss, no latency
+        push(&mut log, 0, 0, Some(50.0));
+        push(&mut log, 1, 0, Some(150.0)); // miss
+        push(&mut log, 2, 1, Some(10.0));
+        push(&mut log, 3, 1, None); // abandoned: miss, no latency
         let report = TenantReport::from_log(&log, SimDuration::from_secs(10));
         assert_eq!(report.tenants.len(), 2);
         let t0 = report.tenant(0).expect("tenant 0");

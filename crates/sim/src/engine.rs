@@ -13,6 +13,11 @@
 //! * **Far heap** — events beyond the current epoch wait in a
 //!   `BinaryHeap` ordered by `(time, seq)` and are transferred into L1
 //!   when their epoch begins.
+//! * **Stream** — a pre-sorted batch loaded up front
+//!   ([`Scheduler::preload_sorted`], e.g. a trace's arrivals) never enters
+//!   the wheel: it waits in a FIFO and is merged with the wheel at drain
+//!   time. Its seqs precede every pushed event's, so at equal timestamps
+//!   the stream head runs first.
 //!
 //! Wheel events live in one node pool (`Vec<Node<E>>` with a LIFO free
 //! list); each slot of either level is just a `(head, tail)` pair of node
@@ -263,13 +268,12 @@ pub struct Scheduler<E> {
     l0: Level,
     l1: Level,
     far: BinaryHeap<Scheduled<E>>,
-    /// Pre-sorted far-future events ([`Scheduler::preload_sorted`]),
-    /// consumed front-to-back at epoch advances. Entries carry seqs below
-    /// every dynamically pushed event (preload happens on a fresh
-    /// scheduler), so draining the stream before the heap at each epoch
-    /// advance reproduces exact `(time, seq)` order without paying a heap
-    /// push + pop per preloaded event. Invariant: every stream entry lies
-    /// strictly beyond the current epoch.
+    /// Pre-sorted events ([`Scheduler::preload_sorted`]), consumed
+    /// front-to-back as they run; they never enter the wheel. Entries
+    /// carry seqs below every pushed event (preload happens on a fresh
+    /// scheduler), so the stream head runs before any wheel event of the
+    /// same timestamp, and merging the two by time alone reproduces exact
+    /// `(time, seq)` order.
     stream: VecDeque<(u64, E)>,
 }
 
@@ -401,9 +405,9 @@ impl<E> Scheduler<E> {
 
     /// Bulk-loads a time-sorted batch of events (e.g. a trace's arrivals)
     /// into the scheduler. Equivalent to calling [`Scheduler::at`] for each
-    /// item in order, but far-future items wait in a FIFO stream instead of
-    /// the overflow heap, so the whole batch costs O(1) per event instead
-    /// of O(log n) twice.
+    /// item in order, but the items wait in a FIFO stream that the drain
+    /// merges with the wheel, so each costs one queue append and one pop
+    /// instead of a wheel or heap insert plus cascades.
     ///
     /// # Panics
     /// Panics if the scheduler is not fresh (events were already scheduled)
@@ -417,40 +421,9 @@ impl<E> Scheduler<E> {
             assert!(at >= last, "preload items must be sorted by time");
             last = at;
             self.stream.push_back((at, ev));
-            self.seq += 1;
-            self.pending += 1;
         }
-        // Pull the epoch-0 prefix down into the wheel so the invariant
-        // (stream entries lie strictly beyond the current epoch) holds
-        // from the start. Routing window-0 entries straight into L0 is
-        // safe only here: the scheduler is fresh, so nothing can already
-        // sit in L1's first bucket ahead of them.
-        while let Some(&(at, _)) = self.stream.front() {
-            if at >> (2 * LEVEL_BITS) != self.epoch {
-                break;
-            }
-            let (at, ev) = self.stream.pop_front().expect("peeked non-empty");
-            if at >> LEVEL_BITS == self.l0_window {
-                self.push_l0(at, ev);
-            } else {
-                self.push_l1(at, ev);
-            }
-        }
-    }
-
-    /// Moves every stream entry belonging to the current epoch into L1.
-    /// Used at epoch advances, where heap entries of the same window also
-    /// land in L1: keeping both in the bucket preserves the "everything in
-    /// L0 precedes everything in L1" pop order, and the bucket cascade
-    /// restores per-timestamp seq order (stream entries enter first).
-    fn drain_stream_for_epoch(&mut self) {
-        while let Some(&(at, _)) = self.stream.front() {
-            if at >> (2 * LEVEL_BITS) != self.epoch {
-                break;
-            }
-            let (at, ev) = self.stream.pop_front().expect("peeked non-empty");
-            self.push_l1(at, ev);
-        }
+        self.seq = self.stream.len() as u64;
+        self.pending = self.stream.len();
     }
 
     /// The current simulation time (the timestamp of the event being
@@ -519,17 +492,34 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// The timestamp of the next event without disturbing any cursor
-    /// (deadline checks must not cascade: a deadline between the frontier
-    /// and the next event would otherwise strand later inserts behind an
-    /// advanced cursor).
+    /// The stream head's timestamp, if the stream is non-empty.
     #[inline]
-    fn next_time(&self) -> Option<u64> {
+    fn stream_head(&self) -> Option<u64> {
+        self.stream.front().map(|&(at, _)| at)
+    }
+
+    /// The timestamp of L0 slot `s`.
+    #[inline]
+    fn l0_time(&self, s: usize) -> u64 {
+        (self.l0_window << LEVEL_BITS) | s as u64
+    }
+
+    /// The first timestamp of L1 bucket `b`'s window.
+    #[inline]
+    fn l1_window_start(&self, b: usize) -> u64 {
+        ((self.epoch << LEVEL_BITS) | b as u64) << LEVEL_BITS
+    }
+
+    /// The wheel's earliest timestamp, found without moving any cursor.
+    /// Only the stepwise reference probes this way: inside one L1 bucket
+    /// timestamps are unordered, so this walks the bucket's whole list,
+    /// which the batched drive loop never does.
+    fn wheel_next_time(&self) -> Option<u64> {
         // Everything in L0 precedes everything in L1 precedes the heap, and
         // L1 buckets are mutually ordered, so the first occupied container
-        // decides; only within one L1 bucket are timestamps unordered.
+        // decides.
         if let Some(s) = self.l0.bits.first() {
-            return Some((self.l0_window << LEVEL_BITS) | s as u64);
+            return Some(self.l0_time(s));
         }
         if let Some(b) = self.l1.bits.first() {
             let mut i = self.l1.lists[b].head;
@@ -541,18 +531,36 @@ impl<E> Scheduler<E> {
             }
             return Some(min);
         }
-        // Both far containers hold only events beyond the current epoch,
-        // so a plain minimum suffices.
-        match (self.far.peek().map(|s| s.at), self.stream.front()) {
-            (Some(h), Some(&(s, _))) => Some(h.min(s)),
-            (Some(h), None) => Some(h),
-            (None, Some(&(s, _))) => Some(s),
-            (None, None) => None,
+        self.far.peek().map(|s| s.at)
+    }
+
+    /// The timestamp of the next event, stream or wheel, without moving
+    /// any cursor.
+    fn next_time(&self) -> Option<u64> {
+        match (self.stream_head(), self.wheel_next_time()) {
+            (Some(s), Some(w)) => Some(s.min(w)),
+            (s, w) => s.or(w),
+        }
+    }
+
+    /// True if the stream head runs before every wheel event: it is no
+    /// later than the wheel's earliest timestamp (ties go to the stream,
+    /// whose seqs precede every pushed event's).
+    fn stream_is_next(&self) -> bool {
+        match (self.stream_head(), self.wheel_next_time()) {
+            (Some(s), Some(w)) => s <= w,
+            (s, _) => s.is_some(),
         }
     }
 
     /// Pops the earliest event, advancing cursors and cascading as needed.
     fn pop_next(&mut self) -> Option<(u64, E)> {
+        if self.stream_is_next() {
+            let (at, ev) = self.stream.pop_front()?;
+            self.advance_to(at);
+            self.pending -= 1;
+            return Some((at, ev));
+        }
         let s = self.advance_to_l0()?;
         let list = &mut self.l0.lists[s];
         let i = list.head;
@@ -564,84 +572,175 @@ impl<E> Scheduler<E> {
         }
         let (ev, _) = self.release(i);
         self.pending -= 1;
-        Some(((self.l0_window << LEVEL_BITS) | s as u64, ev))
+        Some((self.l0_time(s), ev))
     }
 
-    /// Advances to the earliest pending timestamp and detaches its entire
-    /// L0 slot, returning the timestamp, the detached list's head and its
-    /// length. The caller walks the list with [`Scheduler::release`]; the
-    /// batch's events are already off the books (`pending` excludes them).
-    ///
-    /// Equivalent to popping the slot's current events one at a time: the
-    /// slot holds exactly one timestamp, handlers can only push at
-    /// `t >= now`, so events pushed at this timestamp *during* the walk
-    /// land in the (now empty) slot with larger seqs and form the next
-    /// batch — exactly single-step `(time, insertion-seq)` order. Nodes
-    /// the walk has released may be reused by those pushes; the unwalked
-    /// rest of the list is still owned by the walk, so nothing is clobbered.
-    fn take_front(&mut self) -> Option<(u64, u32, usize)> {
-        let s = self.advance_to_l0()?;
-        let head = self.l0.detach(s);
-        let n = self.list_len(head);
-        self.pending -= n;
-        Some(((self.l0_window << LEVEL_BITS) | s as u64, head, n))
-    }
-
-    /// Advances cursors (cascading L1 buckets / the far containers) until
-    /// the earliest pending event sits in L0; returns its slot index, or
-    /// `None` if nothing is pending. Cascades happen only here — between an
-    /// advance and the next insert opportunity — which is what keeps
-    /// per-timestamp FIFO order intact: every event an advance moves
-    /// downward was scheduled (smaller seq) before any event inserted after
-    /// the advance.
+    /// Advances cursors (cascading L1 buckets, opening epochs) until the
+    /// wheel's earliest event sits in L0; returns its slot index, or
+    /// `None` if the wheel is empty. Used by the stepwise reference, which
+    /// calls it only once its probe has found a wheel event before the
+    /// deadline. Every event an advance moves downward was scheduled
+    /// (smaller seq) before any event inserted after the advance, which is
+    /// what keeps per-timestamp FIFO order intact.
     fn advance_to_l0(&mut self) -> Option<usize> {
         loop {
             if let Some(s) = self.l0.bits.first() {
                 return Some(s);
             }
             if let Some(b) = self.l1.bits.first() {
-                // Advance the L0 window to this bucket and cascade it: walk
-                // the bucket's list in order and relink each node at the
-                // tail of its L0 slot (no event moves).
-                self.l0_window = (self.epoch << LEVEL_BITS) | b as u64;
-                let mut i = self.l1.detach(b);
-                while i != NIL {
-                    let node = &mut self.nodes[i as usize];
-                    let next = node.next;
-                    node.next = NIL;
-                    let at = node.at;
-                    debug_assert_eq!(at >> LEVEL_BITS, self.l0_window);
-                    self.l0.link(&mut self.nodes, (at & SLOT_MASK) as usize, i);
-                    i = next;
-                }
+                self.cascade(b);
                 continue;
             }
-            let far_epoch = self.far.peek().map(|s| s.at >> (2 * LEVEL_BITS));
-            let stream_epoch = self.stream.front().map(|&(at, _)| at >> (2 * LEVEL_BITS));
-            let new_epoch = match (far_epoch, stream_epoch) {
-                (Some(h), Some(s)) => h.min(s),
-                (Some(h), None) => h,
-                (None, Some(s)) => s,
-                (None, None) => return None,
+            let epoch = self.far.peek()?.at >> (2 * LEVEL_BITS);
+            self.open_epoch(epoch);
+        }
+    }
+
+    /// Moves the L0 window (which must be empty) to L1 bucket `b`'s window
+    /// and cascades the bucket: walks its list in order and relinks each
+    /// node at the tail of its L0 slot (no event moves).
+    fn cascade(&mut self, b: usize) {
+        self.l0_window = (self.epoch << LEVEL_BITS) | b as u64;
+        let mut i = self.l1.detach(b);
+        while i != NIL {
+            let node = &mut self.nodes[i as usize];
+            let next = node.next;
+            node.next = NIL;
+            let at = node.at;
+            debug_assert_eq!(at >> LEVEL_BITS, self.l0_window);
+            self.l0.link(&mut self.nodes, (at & SLOT_MASK) as usize, i);
+            i = next;
+        }
+    }
+
+    /// Opens `epoch` while L0 and L1 are empty: moves the cursors to its
+    /// first window and transfers its far-heap events into L1. The heap
+    /// pops in `(time, seq)` order, so each bucket receives its
+    /// same-timestamp events in seq order, and any event inserted after
+    /// this transfer carries a larger seq still.
+    fn open_epoch(&mut self, epoch: u64) {
+        self.epoch = epoch;
+        self.l0_window = epoch << LEVEL_BITS;
+        while let Some(top) = self.far.peek() {
+            if top.at >> (2 * LEVEL_BITS) != epoch {
+                break;
+            }
+            let sch = self.far.pop().expect("peeked non-empty");
+            self.push_l1(sch.at, sch.ev);
+        }
+    }
+
+    /// Moves the cursors to `t`'s window before a stream event at `t` runs,
+    /// so its handler's pushes route into the levels exactly as they would
+    /// had the event come out of L0. `t` is the earliest pending time, so
+    /// the wheel holds nothing before it: L0 is empty when the window
+    /// changes, L1 is empty when the epoch changes, and only `t`'s own
+    /// bucket can need cascading.
+    fn advance_to(&mut self, t: u64) {
+        let window = t >> LEVEL_BITS;
+        if window == self.l0_window {
+            return;
+        }
+        debug_assert!(window > self.l0_window && self.l0.bits.first().is_none());
+        let epoch = window >> LEVEL_BITS;
+        if epoch != self.epoch {
+            debug_assert!(self.l1.bits.first().is_none());
+            self.open_epoch(epoch);
+        }
+        self.cascade((window & SLOT_MASK) as usize);
+    }
+
+    /// Finds the next batch to run before `until`, opening L1 buckets and
+    /// epochs on the way but never walking an L1 list.
+    ///
+    /// The wheel's earliest timestamp is exact when L0 is occupied (its
+    /// bitmap), and otherwise only bounded from below: by the first L1
+    /// bucket's window start, or by the far heap's top when L1 is empty
+    /// too. The stream head runs if it is no later than that bound. If the
+    /// wheel is next, its container is opened only when the bound lies
+    /// before `until` (the *safe-cascade rule*): once this returns, the
+    /// caller may push at any `t >= until`, and a cursor beyond `until`
+    /// would route such a push behind itself.
+    fn front_before(&mut self, until: u64) -> Front {
+        loop {
+            let stream = self.stream_head();
+            let l0 = self.l0.bits.first();
+            let l1 = if l0.is_none() {
+                self.l1.bits.first()
+            } else {
+                None
             };
-            // Advance the epoch and transfer its events into L1: stream
-            // first (its seqs all precede every dynamically pushed event),
-            // then the heap, whose pops come out in (time, seq) order. Each
-            // bucket therefore receives its same-timestamp events in seq
-            // order — and any event inserted after this transfer carries a
-            // larger seq still.
-            self.epoch = new_epoch;
-            self.l0_window = new_epoch << LEVEL_BITS;
-            self.drain_stream_for_epoch();
-            while let Some(top) = self.far.peek() {
-                if top.at >> (2 * LEVEL_BITS) != new_epoch {
-                    break;
-                }
-                let sch = self.far.pop().expect("peeked non-empty");
-                self.push_l1(sch.at, sch.ev);
+            let bound = match (l0, l1) {
+                (Some(s), _) => Some(self.l0_time(s)),
+                (None, Some(b)) => Some(self.l1_window_start(b)),
+                (None, None) => self.far.peek().map(|s| s.at),
+            };
+            let Some(bound) = bound else {
+                return match stream {
+                    Some(t) if t < until => Front::Stream(t),
+                    Some(_) => Front::Beyond,
+                    None => Front::Empty,
+                };
+            };
+            if let Some(t) = stream.filter(|&t| t <= bound) {
+                return if t < until {
+                    Front::Stream(t)
+                } else {
+                    Front::Beyond
+                };
+            }
+            if bound >= until {
+                return Front::Beyond;
+            }
+            match (l0, l1) {
+                (Some(s), _) => return Front::Wheel(s),
+                (None, Some(b)) => self.cascade(b),
+                (None, None) => self.open_epoch(bound >> (2 * LEVEL_BITS)),
             }
         }
     }
+
+    /// Takes the stream's batch at `t` (its head) off the books and
+    /// positions the cursors for its handlers; returns the batch size.
+    /// The entries stay queued until the drive loop pops them.
+    fn take_stream_batch(&mut self, t: u64) -> usize {
+        self.advance_to(t);
+        let n = self.stream.iter().take_while(|&&(at, _)| at == t).count();
+        self.pending -= n;
+        n
+    }
+
+    /// Detaches L0 slot `s` whole and takes it off the books; returns the
+    /// detached list's head and its length. The caller walks the list with
+    /// [`Scheduler::release`]: handler pushes may reuse the nodes the walk
+    /// has released, while the unwalked rest stays owned by the walk.
+    fn take_slot(&mut self, s: usize) -> (u32, usize) {
+        let head = self.l0.detach(s);
+        let n = self.list_len(head);
+        self.pending -= n;
+        (head, n)
+    }
+}
+
+/// What [`run_until`] runs next (see `Scheduler::front_before`).
+enum Front {
+    /// The stream's head batch, at this timestamp.
+    Stream(u64),
+    /// The L0 slot holding the wheel's earliest timestamp.
+    Wheel(usize),
+    /// The earliest pending event lies at or beyond the deadline.
+    Beyond,
+    /// Nothing is pending.
+    Empty,
+}
+
+/// A batch [`run_until`] has taken off the books; all of it runs at one
+/// timestamp.
+enum Batch {
+    /// This many entries from the stream's front.
+    Stream(usize),
+    /// A detached L0 list, from its head node.
+    Wheel(u32),
 }
 
 /// Why [`run_until`] returned.
@@ -654,7 +753,8 @@ pub enum StopReason {
 }
 
 /// Runs the world until the queue empties or the clock reaches `until`,
-/// draining the wheel a *batch* (one L0 slot = one timestamp) at a time.
+/// draining a *batch* (every queued event of one timestamp from one
+/// source: the stream's run at its head, or one L0 slot) at a time.
 ///
 /// Events scheduled exactly at `until` are *not* executed, so consecutive
 /// calls with increasing deadlines partition time unambiguously. Deadlines
@@ -663,14 +763,16 @@ pub enum StopReason {
 /// let later pushes land behind them.
 ///
 /// Batch drain is bit-exact with the single-step loop
-/// ([`run_until_stepwise`], kept as the executable reference):
-/// an L0 slot holds exactly one timestamp in FIFO (= seq) order; handlers
-/// can only schedule at `t >= now` (past times clamp to `now`), so events
-/// pushed mid-batch at the batch's own timestamp land in the emptied slot
-/// with larger seqs and are taken as the *next* batch before the frontier
-/// moves — `(time, insertion-seq)` order is preserved exactly. The win is
-/// amortisation: one deadline probe, one clock update, one obs flush, and
-/// one slot detach per timestamp instead of per event.
+/// ([`run_until_stepwise`], kept as the executable reference). An L0 slot
+/// holds exactly one timestamp in FIFO (= seq) order, and the stream's
+/// same-timestamp run is in seq order too. Handlers can only schedule at
+/// `t >= now` (past times clamp to `now`), so events pushed mid-batch at
+/// the batch's own timestamp land in the (emptied) L0 slot with larger
+/// seqs and are taken as the *next* batch before the frontier moves. At a
+/// timestamp both sources hold, the stream batch runs first: its seqs are
+/// the lowest. `(time, insertion-seq)` order is preserved exactly. The
+/// win is amortisation: one probe, one clock update, one obs flush, and
+/// one detach per batch instead of per event.
 pub fn run_until<W: World>(
     world: &mut W,
     sched: &mut Scheduler<W::Event>,
@@ -689,18 +791,21 @@ pub fn run_until<W: World>(
     let executed_at_entry = sched.executed;
     let until_us = until.as_micros();
     let reason = loop {
-        // Probe first: advancing cursors for (or popping and re-queueing) a
-        // boundary event would reorder it behind same-timestamp peers (a
-        // bug the engine's property tests guard against).
-        match sched.next_time() {
-            None => break StopReason::QueueEmpty,
-            Some(t) if t >= until_us => {
+        let (at_us, n, batch) = match sched.front_before(until_us) {
+            Front::Empty => break StopReason::QueueEmpty,
+            Front::Beyond => {
                 sched.now = until;
                 break StopReason::DeadlineReached;
             }
-            Some(_) => {}
-        }
-        let (at_us, mut i, n) = sched.take_front().expect("probed non-empty");
+            Front::Stream(t) => {
+                let n = sched.take_stream_batch(t);
+                (t, n, Batch::Stream(n))
+            }
+            Front::Wheel(s) => {
+                let (head, n) = sched.take_slot(s);
+                (sched.l0_time(s), n, Batch::Wheel(head))
+            }
+        };
         let at = SimTime::from_micros(at_us);
         sched.now = at;
         sched.executed += n as u64;
@@ -717,12 +822,22 @@ pub fn run_until<W: World>(
             batch_events_hist().record(n as u64);
         }
         let _dispatch = ffs_telemetry::span(ffs_telemetry::Phase::BatchDispatch);
-        // Release each node before its handler runs, so the handler's own
-        // pushes can reuse it.
-        while i != NIL {
-            let (ev, next) = sched.release(i);
-            world.handle(at, ev, sched);
-            i = next;
+        match batch {
+            Batch::Stream(n) => {
+                for _ in 0..n {
+                    let (_, ev) = sched.stream.pop_front().expect("counted stream batch");
+                    world.handle(at, ev, sched);
+                }
+            }
+            Batch::Wheel(mut i) => {
+                // Release each node before its handler runs, so the
+                // handler's own pushes can reuse it.
+                while i != NIL {
+                    let (ev, next) = sched.release(i);
+                    world.handle(at, ev, sched);
+                    i = next;
+                }
+            }
         }
     };
     note_executed(sched.executed - executed_at_entry);
@@ -731,8 +846,10 @@ pub fn run_until<W: World>(
 
 /// The one-event-at-a-time reference loop [`run_until`] batched. Kept
 /// public so the batch-equivalence property test and the hotpath benches
-/// can compare against it; semantics (stop conditions, clock, counters)
-/// are identical, only the drain granularity differs.
+/// can compare against it; semantics (stop conditions, clock, counters,
+/// the stream-first tie rule) are identical, only the drain granularity
+/// and the probe differ: this loop finds each next timestamp exactly,
+/// without moving a cursor, and advances only to pop it.
 pub fn run_until_stepwise<W: World>(
     world: &mut W,
     sched: &mut Scheduler<W::Event>,
@@ -971,6 +1088,61 @@ mod tests {
 
         assert_eq!(via_preload.log, via_at.log);
         assert_eq!(s1.pending(), 0);
+    }
+
+    #[test]
+    fn preloaded_events_never_enter_the_wheel() {
+        struct Plain;
+        impl World for Plain {
+            type Event = u32;
+            fn handle(&mut self, _now: SimTime, _ev: u32, _sched: &mut Scheduler<u32>) {}
+        }
+        let mut s = Scheduler::new();
+        s.preload_sorted((0..100u64).map(|i| (SimTime::from_micros(i * 300_000), i as u32)));
+        assert_eq!(s.pending(), 100);
+        assert_eq!(
+            run_until(&mut Plain, &mut s, SimTime::MAX),
+            StopReason::QueueEmpty
+        );
+        assert_eq!(s.executed(), 100);
+        assert!(
+            s.nodes.is_empty() && s.far.is_empty(),
+            "stream bypasses wheel and heap"
+        );
+        // The cursors followed the stream to its last event's window.
+        assert_eq!(s.l0_window, (99 * 300_000) >> LEVEL_BITS);
+    }
+
+    #[test]
+    fn cascades_stop_at_the_deadline() {
+        // Safe-cascade rule: a bucket is opened only if its window starts
+        // before the deadline, because the caller may push at any time at
+        // or after the deadline once `run_until` returns. Windows are
+        // 4096 µs: the stream head sits in window 1, the wheel's events in
+        // window 2.
+        let mut w = Recorder { log: vec![] };
+        let mut s = Scheduler::new();
+        s.preload_sorted([(SimTime::from_micros(5_000), 20)]);
+        s.at(SimTime::from_micros(10_000), 21);
+        // Deadline inside window 1, before window 2 starts: the stream
+        // batch runs, window 2's bucket must stay closed...
+        let r = run_until(&mut w, &mut s, SimTime::from_micros(6_000));
+        assert_eq!(r, StopReason::DeadlineReached);
+        // ...so a push between the deadline and window 2 still routes
+        // ahead of window 2's events.
+        s.at(SimTime::from_micros(7_000), 22);
+        // Deadline inside window 2 but before its events: the bucket may
+        // open, and a push between the deadline and the events lands in
+        // the opened window ahead of them.
+        let r = run_until(&mut w, &mut s, SimTime::from_micros(9_000));
+        assert_eq!(r, StopReason::DeadlineReached);
+        s.at(SimTime::from_micros(9_500), 23);
+        run_until(&mut w, &mut s, SimTime::MAX);
+        let got: Vec<(u64, u32)> = w.log.iter().map(|&(t, e)| (t.as_micros(), e)).collect();
+        assert_eq!(
+            got,
+            vec![(5_000, 20), (7_000, 22), (9_500, 23), (10_000, 21)]
+        );
     }
 
     #[test]

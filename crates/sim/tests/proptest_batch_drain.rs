@@ -17,7 +17,9 @@
 //! * tombstone cancellation + requeue (delivery-time filtering, exactly
 //!   as the chaos layer does it),
 //! * deadlines landing exactly on queued timestamps (the boundary batch
-//!   stays queued on both sides).
+//!   stays queued on both sides),
+//! * a preloaded stream whose batches merge with the wheel's (stream
+//!   first at a shared timestamp).
 
 use proptest::prelude::*;
 
@@ -124,7 +126,72 @@ fn load(victims: &[u64], cancels: &[(u64, usize)]) -> (Scheduler<u32>, Scheduler
     (a, b)
 }
 
+/// Builds two identical schedulers whose victims arrive through the
+/// preloaded stream (sorted), with the cancellers pushed afterwards.
+fn load_preloaded(victims: &[u64], cancels: &[(u64, usize)]) -> (Scheduler<u32>, Scheduler<u32>) {
+    let mut sorted: Vec<(u64, u32)> = victims
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| (t, i as u32))
+        .collect();
+    sorted.sort_by_key(|&(t, _)| t);
+    let mut pair = [Scheduler::new(), Scheduler::new()];
+    for s in &mut pair {
+        s.preload_sorted(sorted.iter().map(|&(t, id)| (SimTime::from_micros(t), id)));
+        for &(t, k) in cancels {
+            s.at(
+                SimTime::from_micros(t),
+                CANCEL_BASE + (k % victims.len()) as u32,
+            );
+        }
+    }
+    let [a, b] = pair;
+    (a, b)
+}
+
 proptest! {
+    /// With a preloaded stream, batch drain (stream batches merged with
+    /// wheel batches, stream first on a tie) and per-event drain agree at
+    /// every deadline, with pushes interleaved between segments.
+    #[test]
+    fn preloaded_batch_drain_matches_stepwise(
+        victims in proptest::collection::vec(arb_time(), 1..32),
+        cancels in proptest::collection::vec((arb_time(), 0usize..32), 0..10),
+        deadlines in proptest::collection::vec(arb_time(), 1..5),
+        extra in proptest::collection::vec(arb_time(), 3),
+    ) {
+        let mut deadlines = deadlines;
+        if let Some(d) = deadlines.first_mut() {
+            *d = victims[0];
+        }
+        deadlines.sort_unstable();
+
+        let (mut batched, mut stepwise) = load_preloaded(&victims, &cancels);
+        let mut wb = Program::new();
+        let mut ws = Program::new();
+        for (k, &until) in deadlines.iter().enumerate() {
+            let until = SimTime::from_micros(until);
+            let sb = run_until(&mut wb, &mut batched, until);
+            let ss = run_until_stepwise(&mut ws, &mut stepwise, until);
+            prop_assert_eq!(sb, ss, "stop reason diverged at deadline {}", k);
+            prop_assert_eq!(&wb.log, &ws.log);
+            prop_assert_eq!(batched.now(), stepwise.now());
+            prop_assert_eq!(batched.pending(), stepwise.pending());
+            let t = SimTime::from_micros(extra[k % extra.len()]);
+            let id = 500 + k as u32;
+            batched.at(t, id);
+            stepwise.at(t, id);
+        }
+        let sb = run_until(&mut wb, &mut batched, SimTime::MAX);
+        let ss = run_until_stepwise(&mut ws, &mut stepwise, SimTime::MAX);
+        prop_assert_eq!(sb, ss);
+        prop_assert_eq!(&wb.log, &ws.log);
+        prop_assert_eq!(&wb.tomb, &ws.tomb);
+        prop_assert_eq!(batched.pending(), 0);
+        prop_assert_eq!(stepwise.pending(), 0);
+        prop_assert_eq!(batched.clamps(), stepwise.clamps());
+    }
+
     /// Batch drain and per-event drain execute arbitrary programs —
     /// including same-instant chains, past-time clamps and tombstone
     /// requeues — in identical order with identical final state.

@@ -6,8 +6,9 @@
 //! the same randomly generated program — a mix of absolute pushes (with
 //! clustered timestamps to force same-instant ties, window-edge and
 //! epoch-crossing gaps), handler-driven chains of `immediately` and
-//! `after`, and multi-deadline `run_until` sequences including deadlines
-//! that land exactly on event timestamps — and must produce identical
+//! `after`, multi-deadline `run_until` sequences including deadlines
+//! that land exactly on event timestamps, and a preloaded sorted stream
+//! that the drain merges with the wheel — and must produce identical
 //! `(time, event)` logs, clocks, and pending counts.
 
 use proptest::prelude::*;
@@ -332,6 +333,72 @@ proptest! {
         run_until(&mut a_world, &mut a, SimTime::MAX);
         run_until(&mut b_world, &mut b, SimTime::MAX);
         prop_assert_eq!(&a_world.log, &b_world.log);
+    }
+
+    /// A preloaded sorted stream merged with the wheel: stream entries,
+    /// absolute pushes and the handler chains they spawn, run across
+    /// multi-deadline segments with a push between segments, execute in
+    /// the reference heap's order when the reference receives the
+    /// preloaded events first (they hold the lowest seqs). Covers the
+    /// stream-first tie rule at shared timestamps, stream batches that
+    /// open new windows and epochs, and deadlines that fall between a
+    /// wheel bucket's window start and its events.
+    #[test]
+    fn preloaded_stream_merges_with_wheel_like_reference(
+        stream in proptest::collection::vec(arb_time(), 0..32),
+        pushes in proptest::collection::vec(arb_time(), 0..16),
+        deadlines in proptest::collection::vec(arb_time(), 1..6),
+        extra in proptest::collection::vec(arb_time(), 3),
+    ) {
+        let mut stream = stream;
+        stream.sort_unstable();
+        let mut deadlines = deadlines;
+        // Pin deadlines to exact stream and push timestamps, so boundary
+        // batches from both sources must stay queued.
+        if let (Some(d), Some(&t)) = (deadlines.first_mut(), stream.first()) {
+            *d = t;
+        }
+        if let (Some(d), Some(&t)) = (deadlines.last_mut(), pushes.first()) {
+            *d = t;
+        }
+        deadlines.sort_unstable();
+
+        let mut wheel_world = WheelWorld { log: vec![] };
+        let mut wheel = Scheduler::new();
+        let mut reference = RefScheduler::default();
+        let mut ref_log = Vec::new();
+        wheel.preload_sorted(
+            stream
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| (SimTime::from_micros(t), i as u32)),
+        );
+        for (i, &t) in stream.iter().enumerate() {
+            reference.at(t, i as u32);
+        }
+        for (i, &t) in pushes.iter().enumerate() {
+            let id = 100 + i as u32;
+            wheel.at(SimTime::from_micros(t), id);
+            reference.at(t, id);
+        }
+        prop_assert_eq!(wheel.pending(), reference.heap.len());
+        for (k, &until) in deadlines.iter().enumerate() {
+            let ws = run_until(&mut wheel_world, &mut wheel, SimTime::from_micros(until));
+            let rs = reference.run_until(until, &mut ref_log, ref_chain);
+            prop_assert_eq!(ws, rs, "stop reason diverged at deadline {}", k);
+            prop_assert_eq!(&wheel_world.log, &ref_log);
+            prop_assert_eq!(wheel.now().as_micros(), reference.now);
+            prop_assert_eq!(wheel.pending(), reference.heap.len());
+            let t = extra[k % extra.len()];
+            let id = 500 + k as u32;
+            wheel.at(SimTime::from_micros(t), id);
+            reference.at(t, id);
+        }
+        let ws = run_until(&mut wheel_world, &mut wheel, SimTime::MAX);
+        let rs = reference.run_until(u64::MAX, &mut ref_log, ref_chain);
+        prop_assert_eq!(ws, rs);
+        prop_assert_eq!(&wheel_world.log, &ref_log);
+        prop_assert_eq!(wheel.pending(), 0);
     }
 
     /// Tombstone cancellation + requeue under fault injection: victims,

@@ -31,7 +31,7 @@ fn four_functions_share_one_gpu_through_eviction() {
             .log
             .records()
             .iter()
-            .filter(|r| r.app_index == app.index() && r.completed.is_some())
+            .filter(|r| r.app_index as usize == app.index() && r.completed.is_some())
             .count();
         assert!(
             served > 0,
