@@ -15,6 +15,7 @@
 //! and the cached plan's slice ids are still free.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ffs_mig::fleet::FreeSlice;
@@ -62,10 +63,65 @@ pub fn process_stats() -> (u64, u64) {
 
 type PlanKey = (FuncId, NodeId, bool, u64);
 
+/// A multiply-rotate hasher for [`PlanKey`]'s four integer words, in place
+/// of SipHash: the keys come from the simulation, not from an adversary,
+/// and the cache only calls `get`/`insert`/`clear`, so its iteration order
+/// (the one thing a hasher could leak) never reaches a result.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The product's best-mixed bits are its high ones; bring them down
+        // to the bucket-index bits.
+        self.0.rotate_left(26)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, x: u8) {
+        self.add(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, x: u16) {
+        self.add(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.add(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+}
+
 /// Memoized launch plans for an unchanged fleet state.
 #[derive(Default)]
 pub struct PlanCache {
-    map: HashMap<PlanKey, Option<DeploymentPlan>>,
+    map: HashMap<PlanKey, Option<DeploymentPlan>, BuildHasherDefault<KeyHasher>>,
     hits: u64,
     misses: u64,
 }

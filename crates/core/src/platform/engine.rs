@@ -765,7 +765,7 @@ impl EngineCore {
         slot.mark_idle(now);
         slot.dead = true;
         let resident = slot.resident;
-        let bound = slot.bound.clone();
+        let bound = slot.bound().to_vec();
         let slice = slot.slice;
         for f in bound {
             self.pool.unbind(f);

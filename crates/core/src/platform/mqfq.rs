@@ -384,8 +384,8 @@ impl SharedPoolPolicy for MqfqSharedPool {
             // head. `sticky` marks flows that avoid a reload on this
             // slice (resident here, or sticky-affine to this GPU).
             let mut candidates: Vec<(FuncId, bool)> = Vec::new();
-            for i in 0..core.pool.slot(slot_idx).bound.len() {
-                let f = core.pool.slot(slot_idx).bound[i];
+            for i in 0..core.pool.slot(slot_idx).bound().len() {
+                let f = core.pool.slot(slot_idx).bound()[i];
                 let Some(&req) = core.pending[f].front() else {
                     continue;
                 };

@@ -52,6 +52,17 @@ pub struct FaultStats {
     pub recoveries: u64,
 }
 
+impl std::ops::AddAssign for FaultStats {
+    fn add_assign(&mut self, o: FaultStats) {
+        self.slice_failures += o.slice_failures;
+        self.gpu_failures += o.gpu_failures;
+        self.retries += o.retries;
+        self.retries_exhausted += o.retries_exhausted;
+        self.rebuilds += o.rebuilds;
+        self.recoveries += o.recoveries;
+    }
+}
+
 /// Everything a run produces.
 #[derive(Debug)]
 pub struct RunOutput {
@@ -121,10 +132,16 @@ pub fn run_platform<P: Platform>(platform: &mut P, trace: &Trace) -> RunOutput {
     ffs_obs::record_at(end.as_micros(), || ffs_obs::ObsEvent::RunEnd {
         sim_secs: end.saturating_since(SimTime::ZERO).as_secs_f64(),
     });
+    super::arena::store_scheduler(sched);
+    collect_output(platform, end)
+}
+
+/// Surrenders a finalized platform's metrics as the [`RunOutput`] of a run
+/// that ended at `end`.
+pub(super) fn collect_output<P: Platform>(platform: &mut P, end: SimTime) -> RunOutput {
     let slices_per_gpu = platform.slices_per_gpu();
     let faults = platform.fault_stats();
     let hub = platform.take_hub();
-    super::arena::store_scheduler(sched);
     RunOutput {
         log: hub.log,
         cost: hub.cost.finalize(end),

@@ -18,27 +18,52 @@
 //! * **Cells** are *logical* shards, fixed by the run configuration
 //!   ([`ShardSpec::cells`]). The fleet partition, the per-cell traces, and
 //!   every cross-cell forwarding decision depend only on cells.
-//! * **Lanes** are *physical* worker threads ([`ShardSpec::lanes`]). A
-//!   lane advances the cells `c ≡ lane (mod lanes)` each epoch. Lanes
-//!   decide only *who executes* a cell's epoch, never *what happens* in
-//!   it.
+//! * **Lanes** are *physical* worker threads ([`ShardSpec::lanes`]). Lanes
+//!   decide only *who executes* a cell's work, never *what happens* in it.
+//!
+//! # Lane ownership
+//!
+//! Lane `l`'s *home* cells are `c ≡ l (mod lanes)`, in ascending order.
+//! Each phase — set-up, every epoch, the final fold — a lane takes its
+//! home cells front to back, so a cell usually stays on one core and in
+//! its cache. A lane that runs out steals not-yet-started cells from the
+//! *back* of another lane's list, so no lane idles at the barrier while a
+//! peer still has cells queued. Each list is one packed `(front, back)`
+//! [`AtomicU64`] claimed by compare-and-swap; lane 0 re-arms all of them
+//! between the two barriers of every boundary.
+//!
+//! ```text
+//!  calling thread: policy bundles, cell order (`make_policies` need not be Sync)
+//!        │
+//!  lanes ├─ set-up    each claimed cell: scheduler + engine from the lane's arena
+//!        │  barrier · lane 0: re-arm lists · barrier
+//!        ├─ epoch k   each claimed cell: run_until(t_k), then its census
+//!        │  barrier · lane 0: exchange_epoch (serial), re-arm lists · barrier
+//!        │  … until t_k = end (no exchange at end)
+//!        ├─ fold      each claimed cell: finalize, take_hub, ids → global,
+//!        │            cost, curves; containers back to the lane's arena
+//!  calling thread: concatenate the cell outputs in cell order
+//! ```
 //!
 //! # Determinism argument
 //!
 //! The run is a pure function of `(traces, config, seed)` and is
 //! byte-identical for any lane count:
 //!
-//! 1. *Within an epoch* each cell is advanced by exactly one
-//!    `run_until(t)` call on its own scheduler and world; cells share no
-//!    mutable state, so the epoch's outcome per cell is independent of
-//!    which lane ran it or in what wall-clock order.
-//! 2. *At a boundary* all lanes rendezvous at a barrier; then one lane
+//! 1. *Within a phase* each cell is claimed by exactly one lane, and its
+//!    work touches only that cell; cells share no mutable state, so the
+//!    outcome per cell is independent of which lane ran it or in what
+//!    wall-clock order.
+//! 2. *At a boundary* all lanes rendezvous at a barrier; then lane 0
 //!    performs the whole exchange serially, scanning cells in index order
 //!    and emitting messages through the [`Sequencer`], whose canonical
-//!    `(dst, src, seq)` order is derived from simulation state only.
+//!    `(dst, src, seq)` order is derived from simulation state only. The
+//!    census it reads was taken by each cell's lane right after the cell's
+//!    `run_until`, and nothing touches a cell between the two.
 //! 3. *Epoch boundaries* are computed identically by every lane as
 //!    `min(k·epoch, end)` in integer microseconds, so all lanes agree on
 //!    the schedule without communicating.
+//! 4. *The merge* concatenates the folded cells in cell index order.
 //!
 //! With one cell the loop degenerates to chained `run_until` calls on one
 //! engine, which the deadline-exclusive scheduler semantics make
@@ -46,8 +71,11 @@
 //! [`run_platform`](super::runner::run_platform) — pinned by the
 //! `shard_determinism` golden tests.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
+use std::time::{Duration, Instant};
 
+use ffs_metrics::{CostReport, RequestLog};
 use ffs_sim::{run_until, Scheduler, Sequencer, SimDuration, SimTime};
 use ffs_telemetry::{span, Phase as TelemetryPhase};
 use ffs_trace::CellTrace;
@@ -57,10 +85,9 @@ use crate::config::FfsConfig;
 use super::catalog::FuncId;
 use super::engine::{Engine, EngineError};
 use super::events::Event;
-use super::hub::MetricsHub;
 use super::policy::PolicyBundle;
 use super::request::RequestState;
-use super::runner::{FaultStats, Platform, RunOutput};
+use super::runner::{collect_output, FaultStats, Platform, RunOutput};
 
 /// What a cell's engine may know about the rest of a sharded run. Policy
 /// code reads this instead of holding references to peer cells, so the
@@ -143,23 +170,57 @@ pub enum ShardMsg {
 }
 
 /// One cell of a sharded run: an engine over its slice of the fleet, its
-/// scheduler, and the map from cell-local request ids back to trace-global
-/// ids (grown when requests are adopted from peers).
+/// scheduler, the map from cell-local request ids back to trace-global
+/// ids (grown when requests are adopted from peers), and the census the
+/// boundary exchange reads.
 struct CellState {
     engine: Engine,
     sched: Scheduler<Event>,
     global_ids: Vec<u64>,
+    /// Pending (un-admitted) requests after the latest `run_until`.
+    backlog: u64,
+    /// Functions starving after the latest `run_until`, ascending.
+    starving: Vec<FuncId>,
 }
 
 impl CellState {
-    /// Sum of this cell's pending (un-admitted) requests.
-    fn backlog(&self) -> u64 {
-        self.engine
-            .core
-            .pending
-            .iter()
-            .map(|q| q.len() as u64)
-            .sum()
+    /// Builds cell `cell`'s engine and scheduler, taking their containers
+    /// from the calling lane's arena.
+    fn set_up(
+        cfg: &FfsConfig,
+        cell: usize,
+        cells: usize,
+        ct: CellTrace,
+        policies: PolicyBundle,
+    ) -> Result<Self, EngineError> {
+        let mut sched: Scheduler<Event> = super::arena::take_scheduler(ct.trace.len());
+        sched.preload_sorted(
+            ct.trace
+                .invocations
+                .iter()
+                .map(|inv| (inv.arrival, Event::Arrival(inv.id))),
+        );
+        sched.at(SimTime::ZERO, Event::ScaleTick);
+        let mut engine = Engine::new(cfg.clone(), policies, &ct.trace)?;
+        engine.core.shard = ShardView {
+            cell,
+            cells,
+            peer_backlog: vec![0; cells],
+        };
+        Ok(CellState {
+            engine,
+            sched,
+            global_ids: ct.global_ids,
+            backlog: 0,
+            starving: Vec::new(),
+        })
+    }
+
+    /// Records what the boundary exchange needs from this cell.
+    fn take_census(&mut self) {
+        let core = &self.engine.core;
+        self.backlog = core.pending.iter().map(|q| q.len() as u64).sum();
+        self.starving = core.starving_funcs();
     }
 
     /// Adopts a forwarded request at boundary time `now`: appends a fresh
@@ -180,11 +241,54 @@ impl CellState {
         self.global_ids.push(global_id);
         self.sched.at(now, Event::Retry(local));
     }
+
+    /// Finalizes the cell at `end` into its own [`RunOutput`], with the
+    /// log on trace-global ids. The scheduler, request buffer and slab go
+    /// back to the calling lane's arena.
+    fn fold(self, end: SimTime) -> CellSlot {
+        let CellState {
+            mut engine,
+            sched,
+            global_ids,
+            ..
+        } = self;
+        let events = sched.executed();
+        engine.finalize(end);
+        super::arena::store_scheduler(sched);
+        let mut out = collect_output(&mut engine, end);
+        drop(engine);
+        out.log.remap_ids(|id| global_ids[id as usize]);
+        CellSlot::Folded { events, out }
+    }
 }
 
-/// Counters describing how a sharded run went (not part of the
-/// deterministic output — purely observational, except that `forwards`
-/// and `events_per_cell` are themselves deterministic).
+/// A cell as it moves through the run, behind its own lock.
+enum CellSlot {
+    /// Before set-up: the cell's trace and policy bundle.
+    Input(CellTrace, PolicyBundle),
+    /// Set up and simulating.
+    Live(Box<CellState>),
+    /// Set-up failed.
+    Failed(EngineError),
+    /// Finalized: events executed and the cell's output.
+    Folded { events: u64, out: RunOutput },
+    /// Momentarily empty while its lane moves it to the next stage.
+    Moving,
+}
+
+impl CellSlot {
+    fn live(&mut self) -> &mut CellState {
+        match self {
+            CellSlot::Live(st) => st,
+            _ => unreachable!("cell is not live"),
+        }
+    }
+}
+
+/// Counters describing how a sharded run went. `cells`, `lanes`,
+/// `epochs`, `forwards` and `events_per_cell` are deterministic; `steals`
+/// and `lane_busy_secs` are observational — they depend on thread timing
+/// and are not part of the deterministic output.
 #[derive(Clone, Debug)]
 pub struct ShardRunStats {
     /// Cells in the run.
@@ -197,6 +301,12 @@ pub struct ShardRunStats {
     pub forwards: u64,
     /// Events executed by each cell's scheduler.
     pub events_per_cell: Vec<u64>,
+    /// Cell claims a lane took from another lane's home list, over all
+    /// phases (set-up, epochs, fold).
+    pub steals: u64,
+    /// Wall seconds each lane spent claiming and working cells, over all
+    /// phases; barrier waits and the serial exchange are not included.
+    pub lane_busy_secs: Vec<f64>,
 }
 
 impl ShardRunStats {
@@ -221,13 +331,202 @@ impl ShardRunStats {
     }
 }
 
+/// The lanes' claim lists for one phase. Lane `l`'s home list is the cells
+/// `l, l + lanes, l + 2·lanes, …`; its claim state is one packed
+/// `(front, back)` pair of positions into that list, so the owner's
+/// front-first takes and thieves' back-first steals are each a single
+/// compare-and-swap and no cell is handed out twice.
+struct CellQueues {
+    cells: usize,
+    lanes: usize,
+    ends: Vec<AtomicU64>,
+}
+
+impl CellQueues {
+    /// Armed lists for `cells` cells on `lanes` lanes (`1 ≤ lanes ≤ cells`).
+    fn new(cells: usize, lanes: usize) -> Self {
+        let q = CellQueues {
+            cells,
+            lanes,
+            ends: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
+        };
+        q.rearm();
+        q
+    }
+
+    /// Restores every home list in full. Only called while no lane claims
+    /// (between the two barriers of a boundary); the second barrier orders
+    /// these `Relaxed` stores before every lane's next claim.
+    fn rearm(&self) {
+        for (lane, ends) in self.ends.iter().enumerate() {
+            let len = (self.cells - lane).div_ceil(self.lanes) as u64;
+            ends.store(len, Ordering::Relaxed);
+        }
+    }
+
+    /// Takes the front (own list) or back (a steal) of `lane`'s list.
+    fn take(&self, lane: usize, back: bool) -> Option<usize> {
+        let ends = &self.ends[lane];
+        let mut cur = ends.load(Ordering::Acquire);
+        loop {
+            let (front, end) = (cur >> 32, cur & u64::from(u32::MAX));
+            if front >= end {
+                return None;
+            }
+            let (next, pos) = if back {
+                (cur - 1, end - 1)
+            } else {
+                (cur + (1 << 32), front)
+            };
+            match ends.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => return Some(lane + pos as usize * self.lanes),
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    /// `lane`'s next cell: its own list front first, then the back of the
+    /// next non-empty list after it. `None` once every list is empty; the
+    /// flag is true for a steal.
+    fn claim(&self, lane: usize) -> Option<(usize, bool)> {
+        if let Some(c) = self.take(lane, false) {
+            return Some((c, false));
+        }
+        (1..self.lanes)
+            .find_map(|d| self.take((lane + d) % self.lanes, true))
+            .map(|c| (c, true))
+    }
+}
+
+/// What one lane did in a run (observational).
+#[derive(Default)]
+struct LaneReport {
+    steals: u64,
+    busy: Duration,
+    /// Boundaries crossed (lane 0 only).
+    epochs: u64,
+    /// Requests forwarded (lane 0 only).
+    forwards: u64,
+}
+
+/// Everything the lanes of one run share.
+struct Lanes<'a> {
+    slots: Vec<Mutex<CellSlot>>,
+    queues: CellQueues,
+    barrier: Barrier,
+    /// The per-cell config.
+    cfg: &'a FfsConfig,
+    spec: &'a ShardSpec,
+    end: SimTime,
+    epoch_us: u64,
+    /// Set by a lane whose cell failed set-up; every lane stops at the
+    /// boundary after set-up. `Relaxed` is enough: the flag is only read
+    /// after that boundary's barriers, which order it after every store.
+    failed: AtomicBool,
+}
+
+impl Lanes<'_> {
+    /// One lane's whole run. Lane 0 is the calling thread, and also runs
+    /// the serial step of every boundary.
+    fn run(&self, lane: usize) -> LaneReport {
+        let cells = self.slots.len();
+        let mut rep = LaneReport::default();
+        {
+            let _setup = span(TelemetryPhase::EngineSetup);
+            self.phase(lane, &mut rep, |c, slot| {
+                let CellSlot::Input(ct, policies) = std::mem::replace(slot, CellSlot::Moving)
+                else {
+                    unreachable!("cell {c} set up twice")
+                };
+                *slot = match CellState::set_up(self.cfg, c, cells, ct, policies) {
+                    Ok(st) => CellSlot::Live(Box::new(st)),
+                    Err(e) => {
+                        self.failed.store(true, Ordering::Relaxed);
+                        CellSlot::Failed(e)
+                    }
+                };
+            });
+        }
+        self.boundary(lane, || {});
+        if self.failed.load(Ordering::Relaxed) {
+            return rep;
+        }
+
+        let end_us = self.end.as_micros();
+        // Only lane 0 sends: it runs every boundary's exchange.
+        let mut seq: Sequencer<ShardMsg> = Sequencer::new(cells);
+        for k in 1u64.. {
+            let t_us = end_us.min(self.epoch_us.saturating_mul(k));
+            let t = SimTime::from_micros(t_us);
+            // Exchange at the boundary — but never at `end`: a request
+            // forwarded there could not be adopted into any further
+            // simulation, and its record would be lost.
+            let exchange = cells > 1 && t_us < end_us;
+            self.phase(lane, &mut rep, |_, slot| {
+                let st = slot.live();
+                run_until(&mut st.engine, &mut st.sched, t);
+                if exchange {
+                    st.take_census();
+                }
+            });
+            self.boundary(lane, || {
+                rep.epochs += 1;
+                if exchange {
+                    rep.forwards += exchange_epoch(&self.slots, &mut seq, self.spec, t);
+                }
+            });
+            if t_us >= end_us {
+                break;
+            }
+        }
+
+        let _fold = span(TelemetryPhase::ObsFold);
+        self.phase(lane, &mut rep, |_, slot| {
+            let CellSlot::Live(st) = std::mem::replace(slot, CellSlot::Moving) else {
+                unreachable!("cell is not live")
+            };
+            *slot = (*st).fold(self.end);
+        });
+        rep
+    }
+
+    /// Claims cells until every list is empty, running `work` on each.
+    fn phase(&self, lane: usize, rep: &mut LaneReport, mut work: impl FnMut(usize, &mut CellSlot)) {
+        let start = Instant::now();
+        while let Some((c, stolen)) = self.queues.claim(lane) {
+            rep.steals += u64::from(stolen);
+            work(c, &mut self.slots[c].lock().expect("cell lock"));
+        }
+        rep.busy += start.elapsed();
+    }
+
+    /// A phase boundary: every lane parks, lane 0 runs `serial` and
+    /// re-arms the claim lists, and every lane parks again.
+    fn boundary(&self, lane: usize, serial: impl FnOnce()) {
+        self.wait();
+        if lane == 0 {
+            serial();
+            self.queues.rearm();
+        }
+        self.wait();
+    }
+
+    fn wait(&self) {
+        if self.queues.lanes > 1 {
+            let _b = span(TelemetryPhase::EpochBarrier);
+            self.barrier.wait();
+        }
+    }
+}
+
 /// Runs a fleet split into `spec.cells` cells over the per-cell traces,
 /// advancing cells on `spec.lanes` worker lanes, and merges the per-cell
 /// results into one fleet-wide [`RunOutput`].
 ///
 /// `cfg` describes the *whole* fleet; each cell gets `cfg.nodes /
-/// spec.cells` nodes and its own policy bundle from `make_policies`. The
-/// output is byte-identical for any `spec.lanes`, and with one cell it is
+/// spec.cells` nodes and its own policy bundle from `make_policies`,
+/// called on the calling thread in cell order. The output is
+/// byte-identical for any `spec.lanes`, and with one cell it is
 /// byte-identical to `run_platform` on the undivided config.
 pub fn run_sharded<F>(
     cfg: &FfsConfig,
@@ -255,7 +554,6 @@ where
     let mut cell_cfg = cfg.clone();
     cell_cfg.nodes = cfg.nodes / cells;
 
-    // ---- Setup: build every cell serially (cell order, lane-free). ----
     let setup = span(TelemetryPhase::EngineSetup);
     let duration = cell_traces
         .first()
@@ -263,191 +561,115 @@ where
         .unwrap_or(SimDuration::from_secs(0));
     let total_invocations: usize = cell_traces.iter().map(|ct| ct.trace.len()).sum();
     let end = SimTime::ZERO + duration + cell_cfg.drain;
-    let end_us = end.as_micros();
-    let epoch_us = spec.epoch.as_micros().max(1);
-    let mut states: Vec<Mutex<CellState>> = Vec::with_capacity(cells);
-    for (i, ct) in cell_traces.into_iter().enumerate() {
-        debug_assert_eq!(ct.trace.duration, duration, "cells share one horizon");
-        let mut sched: Scheduler<Event> = super::arena::take_scheduler(ct.trace.len());
-        sched.preload_sorted(
-            ct.trace
-                .invocations
-                .iter()
-                .map(|inv| (inv.arrival, Event::Arrival(inv.id))),
-        );
-        sched.at(SimTime::ZERO, Event::ScaleTick);
-        let mut engine = Engine::new(cell_cfg.clone(), make_policies(&cell_cfg), &ct.trace)?;
-        engine.core.shard = ShardView {
-            cell: i,
-            cells,
-            peer_backlog: vec![0; cells],
-        };
-        states.push(Mutex::new(CellState {
-            engine,
-            sched,
-            global_ids: ct.global_ids,
-        }));
-    }
+    let slots: Vec<Mutex<CellSlot>> = cell_traces
+        .into_iter()
+        .map(|ct| {
+            debug_assert_eq!(ct.trace.duration, duration, "cells share one horizon");
+            Mutex::new(CellSlot::Input(ct, make_policies(&cell_cfg)))
+        })
+        .collect();
     ffs_obs::record_at(0, || ffs_obs::ObsEvent::RunStart {
         invocations: total_invocations as u64,
         gpus: (cfg.nodes * cfg.gpus_per_node) as u32,
     });
     drop(setup);
 
-    // ---- The lock-stepped epoch loop. ----
     // Lane 0 runs inline on the calling thread (so `lanes == 1` spawns no
     // threads and accumulates telemetry exactly like `run_platform`);
-    // lanes 1.. are scoped workers. Every lane computes the identical
-    // boundary schedule, so the only coordination is the barrier itself.
-    let barrier = Barrier::new(lanes);
-    let states_ref = &states;
-    let barrier_ref = &barrier;
-    let mut epochs = 0u64;
-    let mut forwards = 0u64;
-    std::thread::scope(|s| {
-        for lane in 1..lanes {
-            s.spawn(move || {
-                let mut k = 1u64;
-                loop {
-                    let t_us = end_us.min(epoch_us.saturating_mul(k));
-                    let t = SimTime::from_micros(t_us);
-                    for c in (lane..cells).step_by(lanes) {
-                        let mut cell = states_ref[c].lock().expect("cell lock");
-                        let CellState { engine, sched, .. } = &mut *cell;
-                        run_until(engine, sched, t);
-                    }
-                    {
-                        let _b = span(TelemetryPhase::EpochBarrier);
-                        barrier_ref.wait();
-                    }
-                    if t_us >= end_us {
-                        break;
-                    }
-                    // Lane 0 performs the exchange between the barriers.
-                    {
-                        let _b = span(TelemetryPhase::EpochBarrier);
-                        barrier_ref.wait();
-                    }
-                    k += 1;
-                }
-                ffs_telemetry::flush_thread();
-            });
+    // lanes 1.. are scoped workers.
+    let shared = Lanes {
+        slots,
+        queues: CellQueues::new(cells, lanes),
+        barrier: Barrier::new(lanes),
+        cfg: &cell_cfg,
+        spec,
+        end,
+        epoch_us: spec.epoch.as_micros().max(1),
+        failed: AtomicBool::new(false),
+    };
+    let reports: Vec<LaneReport> = std::thread::scope(|s| {
+        let shared = &shared;
+        let workers: Vec<_> = (1..lanes)
+            .map(|lane| {
+                s.spawn(move || {
+                    let rep = shared.run(lane);
+                    ffs_telemetry::flush_thread();
+                    rep
+                })
+            })
+            .collect();
+        let mut reports = vec![shared.run(0)];
+        for w in workers {
+            reports.push(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
-        // Lane 0, inline.
-        let mut seq: Sequencer<ShardMsg> = Sequencer::new(cells);
-        let mut k = 1u64;
-        loop {
-            let t_us = end_us.min(epoch_us.saturating_mul(k));
-            let t = SimTime::from_micros(t_us);
-            for c in (0..cells).step_by(lanes) {
-                let mut cell = states_ref[c].lock().expect("cell lock");
-                let CellState { engine, sched, .. } = &mut *cell;
-                run_until(engine, sched, t);
-            }
-            if lanes > 1 {
-                let _b = span(TelemetryPhase::EpochBarrier);
-                barrier_ref.wait();
-            }
-            epochs += 1;
-            if t_us >= end_us {
-                break;
-            }
-            // Exchange at the boundary — but never at `end`: a request
-            // forwarded there could not be adopted into any further
-            // simulation, and its record would be lost.
-            if cells > 1 {
-                forwards += exchange_epoch(states_ref, &mut seq, spec, t);
-            }
-            if lanes > 1 {
-                let _b = span(TelemetryPhase::EpochBarrier);
-                barrier_ref.wait();
-            }
-            k += 1;
-        }
+        reports
     });
 
-    // ---- Merge per-cell results (cell order, lane-invariant). ----
-    let _fold = span(TelemetryPhase::ObsFold);
-    let mut states: Vec<CellState> = states
-        .into_iter()
-        .map(|m| m.into_inner().expect("cell lock"))
-        .collect();
-    let events_per_cell: Vec<u64> = states.iter().map(|st| st.sched.executed()).collect();
-    for st in &mut states {
-        st.engine.finalize(end);
+    if shared.failed.into_inner() {
+        // The first failure in cell order, as a serial set-up would report.
+        let failure =
+            shared
+                .slots
+                .into_iter()
+                .find_map(|m| match m.into_inner().expect("cell lock") {
+                    CellSlot::Failed(e) => Some(e),
+                    _ => None,
+                });
+        return Err(failure.expect("a cell failed set-up"));
     }
-    ffs_obs::record_at(end_us, || ffs_obs::ObsEvent::RunEnd {
+
+    // ---- Concatenate the folded cells (cell order, lane-invariant). ----
+    let _fold = span(TelemetryPhase::ObsFold);
+    let mut output = RunOutput {
+        log: RequestLog::new(),
+        cost: CostReport {
+            gpu_time_secs: Vec::new(),
+            occupied_secs: Vec::new(),
+            occupied_gpc_secs: Vec::new(),
+            active_secs: Vec::new(),
+            window_secs: 0.0,
+        },
+        busy_gpcs: Vec::new(),
+        allocated_gpcs: Vec::new(),
+        required_gpcs: Vec::new(),
+        duration: end.saturating_since(SimTime::ZERO),
+        slices_per_gpu: 0,
+        faults: FaultStats::default(),
+    };
+    output.log.reserve(total_invocations);
+    let mut events_per_cell = Vec::with_capacity(cells);
+    for (c, slot) in shared.slots.into_iter().enumerate() {
+        let CellSlot::Folded { events, mut out } = slot.into_inner().expect("cell lock") else {
+            unreachable!("cell {c} was not folded")
+        };
+        events_per_cell.push(events);
+        if c == 0 {
+            output.slices_per_gpu = out.slices_per_gpu;
+        }
+        output.faults += out.faults;
+        output.log.append(&mut out.log);
+        let cost = &mut output.cost;
+        cost.gpu_time_secs.append(&mut out.cost.gpu_time_secs);
+        cost.occupied_secs.append(&mut out.cost.occupied_secs);
+        cost.occupied_gpc_secs
+            .append(&mut out.cost.occupied_gpc_secs);
+        cost.active_secs.append(&mut out.cost.active_secs);
+        cost.window_secs = out.cost.window_secs;
+        merge_curve(&mut output.busy_gpcs, &out.busy_gpcs);
+        merge_curve(&mut output.allocated_gpcs, &out.allocated_gpcs);
+        merge_curve(&mut output.required_gpcs, &out.required_gpcs);
+    }
+    ffs_obs::record_at(end.as_micros(), || ffs_obs::ObsEvent::RunEnd {
         sim_secs: end.saturating_since(SimTime::ZERO).as_secs_f64(),
     });
-    let slices_per_gpu = states
-        .first()
-        .map(|st| st.engine.slices_per_gpu())
-        .unwrap_or(0);
-    let mut faults = FaultStats::default();
-    let mut log = ffs_metrics::RequestLog::new();
-    log.reserve(total_invocations);
-    let mut cost = ffs_metrics::CostReport {
-        gpu_time_secs: Vec::new(),
-        occupied_secs: Vec::new(),
-        occupied_gpc_secs: Vec::new(),
-        active_secs: Vec::new(),
-        window_secs: 0.0,
-    };
-    let mut busy_gpcs: Vec<(f64, f64)> = Vec::new();
-    let mut allocated_gpcs: Vec<(f64, f64)> = Vec::new();
-    let mut required_gpcs: Vec<(f64, f64)> = Vec::new();
-    for st in &mut states {
-        let f = st.engine.fault_stats();
-        faults.slice_failures += f.slice_failures;
-        faults.gpu_failures += f.gpu_failures;
-        faults.retries += f.retries;
-        faults.retries_exhausted += f.retries_exhausted;
-        faults.rebuilds += f.rebuilds;
-        faults.recoveries += f.recoveries;
-        let hub: MetricsHub = st.engine.take_hub();
-        for (&rec, breakdown) in hub.log.records_with_breakdowns() {
-            let rec = ffs_metrics::RequestRecord {
-                id: st.global_ids[rec.id as usize],
-                ..rec
-            };
-            if rec.completed.is_some() {
-                log.push_completed(rec, breakdown);
-            } else {
-                log.push_abandoned(rec);
-            }
-        }
-        let c = hub.cost.finalize(end);
-        cost.gpu_time_secs.extend(c.gpu_time_secs);
-        cost.occupied_secs.extend(c.occupied_secs);
-        cost.occupied_gpc_secs.extend(c.occupied_gpc_secs);
-        cost.active_secs.extend(c.active_secs);
-        cost.window_secs = c.window_secs;
-        merge_curve(&mut busy_gpcs, &hub.busy_gpcs.curve());
-        merge_curve(&mut allocated_gpcs, &hub.allocated_gpcs.curve());
-        merge_curve(&mut required_gpcs, &hub.required_gpcs.curve());
-    }
-    for st in states {
-        super::arena::store_scheduler(st.sched);
-        // The engine's drop returns its request buffer and slab to the
-        // arena here, on the main thread, exactly like a solo run.
-        drop(st.engine);
-    }
-    let output = RunOutput {
-        log,
-        cost,
-        busy_gpcs,
-        allocated_gpcs,
-        required_gpcs,
-        duration: end.saturating_since(SimTime::ZERO),
-        slices_per_gpu,
-        faults,
-    };
     let stats = ShardRunStats {
         cells,
         lanes,
-        epochs,
-        forwards,
+        epochs: reports[0].epochs,
+        forwards: reports[0].forwards,
         events_per_cell,
+        steals: reports.iter().map(|r| r.steals).sum(),
+        lane_busy_secs: reports.iter().map(|r| r.busy.as_secs_f64()).collect(),
     };
     Ok((output, stats))
 }
@@ -462,32 +684,36 @@ pub fn run_sharded_fluid(
 }
 
 /// The serial boundary exchange (lane 0 only, all lanes parked at the
-/// barrier): census every cell's backlog, publish it into each cell's
+/// barrier): publish every cell's backlog census into each cell's
 /// [`ShardView`], forward queued requests of *starving* functions (no
 /// instance anywhere on their home cell) to the least-loaded peer, and
-/// apply the sequenced messages in canonical order. Returns the number of
+/// apply the sequenced messages in canonical order. Reads the census each
+/// cell's lane took after the cell's `run_until`. Returns the number of
 /// requests forwarded.
 fn exchange_epoch(
-    states: &[Mutex<CellState>],
+    slots: &[Mutex<CellSlot>],
     seq: &mut Sequencer<ShardMsg>,
     spec: &ShardSpec,
     now: SimTime,
 ) -> u64 {
     let _sr = span(TelemetryPhase::ShardRoute);
-    let cells = states.len();
-    let mut guards: Vec<std::sync::MutexGuard<'_, CellState>> = states
-        .iter()
-        .map(|m| m.lock().expect("cell lock"))
-        .collect();
-    let census: Vec<u64> = guards.iter().map(|g| g.backlog()).collect();
+    let mut guards: Vec<std::sync::MutexGuard<'_, CellSlot>> =
+        slots.iter().map(|m| m.lock().expect("cell lock")).collect();
+    let census: Vec<u64> = guards.iter_mut().map(|g| g.live().backlog).collect();
     for g in guards.iter_mut() {
-        g.engine.core.shard.peer_backlog.copy_from_slice(&census);
+        g.live()
+            .engine
+            .core
+            .shard
+            .peer_backlog
+            .copy_from_slice(&census);
     }
     // Forwarding decisions track the census as it changes, so one epoch
     // cannot dogpile every starving function onto the same peer.
     let mut backlog = census;
-    for src in 0..cells {
-        for f in guards[src].engine.core.starving_funcs() {
+    for (src, g) in guards.iter_mut().enumerate() {
+        let st = g.live();
+        for f in std::mem::take(&mut st.starving) {
             let mut dst = src;
             for (c, &b) in backlog.iter().enumerate() {
                 if c != src && (dst == src || b < backlog[dst]) {
@@ -498,23 +724,19 @@ fn exchange_epoch(
                 continue;
             }
             for _ in 0..spec.max_forwards_per_func {
-                let g = &mut *guards[src];
-                let Some(req) = g.engine.core.pending[f].pop_front() else {
+                let Some(req) = st.engine.core.pending[f].pop_front() else {
                     break;
                 };
-                let r = &mut g.engine.core.requests[req as usize];
+                let r = &mut st.engine.core.requests[req as usize];
                 r.moved = true;
-                let arrival = r.arrival;
-                let tenant = r.tenant;
-                let global = g.global_ids[req as usize];
                 seq.send(
                     src,
                     dst,
                     ShardMsg::Forward {
-                        global_id: global,
+                        global_id: st.global_ids[req as usize],
                         func: f,
-                        arrival,
-                        tenant,
+                        arrival: r.arrival,
+                        tenant: r.tenant,
                     },
                 );
                 backlog[src] -= 1;
@@ -525,7 +747,7 @@ fn exchange_epoch(
     let envelopes = seq.drain_epoch();
     let n = envelopes.len() as u64;
     for env in envelopes {
-        guards[env.dst].adopt(env.msg, now);
+        guards[env.dst].live().adopt(env.msg, now);
     }
     n
 }
@@ -619,5 +841,84 @@ impl Fnv {
 
     fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_idle_lane_steals_from_the_back_of_its_peers() {
+        // Lane 0's home list is 0, 2, 4; lane 1's is 1, 3.
+        let q = CellQueues::new(5, 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.claim(0)).collect();
+        assert_eq!(
+            order,
+            [(0, false), (2, false), (4, false), (3, true), (1, true)]
+        );
+        assert_eq!(q.claim(1), None);
+        q.rearm();
+        assert_eq!(q.claim(1), Some((1, false)));
+        assert_eq!(q.claim(0), Some((0, false)));
+    }
+
+    /// Lanes race over one phase; lane 0 is slow, so its peers steal.
+    /// Every cell is claimed exactly once, each lane takes its own list
+    /// front first, and thieves take only a suffix of a victim's list.
+    #[test]
+    fn racing_lanes_claim_every_cell_exactly_once() {
+        for (cells, lanes) in [(64, 2), (8, 3), (7, 4), (9, 8)] {
+            let q = CellQueues::new(cells, lanes);
+            let start = Barrier::new(lanes);
+            let claims: Vec<Vec<(usize, bool)>> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..lanes)
+                    .map(|lane| {
+                        let (q, start) = (&q, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            let mut got = Vec::new();
+                            while let Some(claim) = q.claim(lane) {
+                                got.push(claim);
+                                if lane == 0 {
+                                    std::thread::sleep(Duration::from_micros(200));
+                                }
+                            }
+                            got
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("lane"))
+                    .collect()
+            });
+            let mut seen = vec![0u32; cells];
+            for (lane, got) in claims.iter().enumerate() {
+                let own: Vec<usize> = got.iter().filter(|c| !c.1).map(|c| c.0).collect();
+                // Own claims: the front of this lane's home list, in order.
+                let home: Vec<usize> = (lane..cells).step_by(lanes).collect();
+                assert_eq!(own, home[..own.len()], "lane {lane} of {lanes}");
+                for &(c, stolen) in got {
+                    seen[c] += 1;
+                    assert_eq!(stolen, c % lanes != lane, "cell {c} on lane {lane}");
+                }
+            }
+            assert!(
+                seen.iter().all(|&n| n == 1),
+                "{cells} cells, {lanes} lanes: {seen:?}"
+            );
+            // Whatever a lane did not take itself was stolen off its back.
+            for lane in 0..lanes {
+                let taken = claims[lane].iter().filter(|c| !c.1).count();
+                let home_len = (lane..cells).step_by(lanes).count();
+                let stolen = claims
+                    .iter()
+                    .flatten()
+                    .filter(|c| c.1 && c.0 % lanes == lane)
+                    .count();
+                assert_eq!(taken + stolen, home_len);
+            }
+        }
     }
 }

@@ -20,8 +20,10 @@ use crate::platform::catalog::FuncId;
 pub struct SharedSlot {
     /// The slice (node, id, profile).
     pub slice: FreeSlice,
-    /// Functions whose time-sharing instance is bound to this slot.
-    pub bound: Vec<FuncId>,
+    /// Functions whose time-sharing instance is bound to this slot (kept
+    /// by [`SharedPool::bind`] / [`SharedPool::unbind`], which also keep
+    /// the pool's per-function index).
+    bound: Vec<FuncId>,
     /// The function whose model currently resides on the slice.
     pub resident: Option<FuncId>,
     /// The request currently executing, if any.
@@ -35,10 +37,11 @@ pub struct SharedSlot {
     pub lru: VecDeque<FuncId>,
     /// Last time the slot did useful work.
     pub last_used: SimTime,
-    /// Tombstone: the backing slice failed (fault injection). Dead slots
-    /// are never removed from the pool vector — `Vec::remove` would shift
-    /// the indices referenced by in-flight `SharedDone` / `SharedLoadDone`
-    /// events — and are skipped by `bind` / `empty_fitting` / shrink.
+    /// Tombstone: the backing slice failed (fault injection) or was
+    /// released by a pool shrink. Dead slots are never removed from the
+    /// pool vector — `Vec::remove` would shift the indices referenced by
+    /// in-flight `SharedDone` / `SharedLoadDone` events of later slots —
+    /// and are skipped by `bind` / `empty_fitting` / shrink.
     pub dead: bool,
     busy_since: Option<SimTime>,
     busy_accum: SimDuration,
@@ -60,6 +63,11 @@ impl SharedSlot {
             busy_since: None,
             busy_accum: SimDuration::ZERO,
         }
+    }
+
+    /// Functions whose time-sharing instance is bound to this slot.
+    pub fn bound(&self) -> &[FuncId] {
+        &self.bound
     }
 
     /// True if the slot can start work immediately.
@@ -117,9 +125,16 @@ impl SharedSlot {
 }
 
 /// The pool of shared slices on a platform.
+///
+/// A slot's index is its identity for the whole run: in-flight
+/// `SharedDone` / `SharedLoadDone` events carry it, so slots are only ever
+/// appended, and a released slot stays in place as a tombstone.
 #[derive(Clone, Debug, Default)]
 pub struct SharedPool {
     slots: Vec<SharedSlot>,
+    /// `slot_by_func[f]`: the slot `f`'s time-sharing instance is bound to
+    /// (grown on demand; stable because slot indices are).
+    slot_by_func: Vec<Option<usize>>,
 }
 
 impl SharedPool {
@@ -143,7 +158,7 @@ impl SharedPool {
         &self.slots[idx]
     }
 
-    /// Number of slots.
+    /// Number of slots, tombstones included (one past the largest index).
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -159,16 +174,21 @@ impl SharedPool {
         self.slots.len() - 1
     }
 
-    /// Removes a slot (must be unbound and idle); returns its slice.
+    /// Removes a slot (must be unbound and idle) by tombstoning it in
+    /// place; returns its slice for the caller to release. Every other
+    /// slot keeps its index.
     pub fn remove_slot(&mut self, idx: usize) -> FreeSlice {
-        let slot = &self.slots[idx];
-        debug_assert!(slot.bound.is_empty() && slot.is_free() && slot.queue.is_empty());
-        self.slots.remove(idx).slice
+        let slot = &mut self.slots[idx];
+        debug_assert!(
+            !slot.dead && slot.bound.is_empty() && slot.is_free() && slot.queue.is_empty()
+        );
+        slot.dead = true;
+        slot.slice
     }
 
     /// The slot a function's time-sharing instance is bound to.
     pub fn slot_of(&self, f: FuncId) -> Option<usize> {
-        self.slots.iter().position(|s| s.bound.contains(&f))
+        self.slot_by_func.get(f).copied().flatten()
     }
 
     /// A fitting slot with no bound functions, if any.
@@ -191,12 +211,17 @@ impl SharedPool {
             .min_by_key(|(i, s)| (s.bound.len(), *i))
             .map(|(i, _)| i)?;
         self.slots[idx].bound.push(f);
+        if self.slot_by_func.len() <= f {
+            self.slot_by_func.resize(f + 1, None);
+        }
+        self.slot_by_func[f] = Some(idx);
         Some(idx)
     }
 
-    /// Unbinds a function from its slot (keep-alive expiry / promotion).
+    /// Unbinds a function from its slot (keep-alive expiry / promotion /
+    /// slice fault).
     pub fn unbind(&mut self, f: FuncId) -> Option<usize> {
-        let idx = self.slot_of(f)?;
+        let idx = self.slot_by_func.get_mut(f)?.take()?;
         let slot = &mut self.slots[idx];
         slot.bound.retain(|&g| g != f);
         slot.lru.retain(|&g| g != f);
@@ -280,7 +305,32 @@ mod tests {
         pool.add_slot(slice(SliceProfile::G1_10, 3), SimTime::ZERO);
         let s = pool.remove_slot(0);
         assert_eq!(s.id.index, 3);
-        assert!(pool.is_empty());
+        // Tombstoned in place: nothing can bind to it any more.
+        assert!(pool.slot(0).dead);
+        assert_eq!(pool.empty_fitting(5.0), None);
+        assert_eq!(pool.bind(0, 5.0), None);
+    }
+
+    #[test]
+    fn removing_a_slot_keeps_later_indices_and_bindings() {
+        let mut pool = SharedPool::new();
+        pool.add_slot(slice(SliceProfile::G1_10, 0), SimTime::ZERO);
+        pool.add_slot(slice(SliceProfile::G1_10, 1), SimTime::ZERO);
+        pool.add_slot(slice(SliceProfile::G1_10, 2), SimTime::ZERO);
+        assert_eq!(pool.bind(4, 5.0), Some(0));
+        assert_eq!(pool.bind(5, 5.0), Some(1));
+        assert_eq!(pool.bind(6, 5.0), Some(2));
+        assert_eq!(pool.unbind(4), Some(0));
+        assert_eq!(pool.slot_of(4), None);
+        pool.remove_slot(0);
+        assert_eq!(pool.slot_of(5), Some(1));
+        assert_eq!(pool.slot_of(6), Some(2));
+        assert_eq!(pool.slot(1).slice.id.index, 1);
+        assert_eq!(pool.slot(2).slice.id.index, 2);
+        // Binding skips the tombstone and keeps the lowest-index tie-break.
+        assert_eq!(pool.bind(7, 5.0), Some(1));
+        assert_eq!(pool.unbind(5), Some(1));
+        assert_eq!(pool.slot(1).bound(), &[7]);
     }
 
     #[test]

@@ -137,8 +137,8 @@ impl SharedPoolPolicy for FluidSharedPool {
         let slice_id = core.pool.slot(slot_idx).slice.id;
         let resident = core.pool.slot(slot_idx).resident;
         let mut best: Option<(i64, FuncId, u64)> = None;
-        for i in 0..core.pool.slot(slot_idx).bound.len() {
-            let f = core.pool.slot(slot_idx).bound[i];
+        for i in 0..core.pool.slot(slot_idx).bound().len() {
+            let f = core.pool.slot(slot_idx).bound()[i];
             let Some(&req) = core.pending[f].front() else {
                 continue;
             };
@@ -199,7 +199,7 @@ impl SharedPoolPolicy for FluidSharedPool {
             let slot = core.pool.slot_mut(idx);
             let util = slot.take_utilization(now, window);
             if util > core.cfg.promote_utilization && slot.queue.len() > 1 {
-                if let Some(&f) = slot.bound.first() {
+                if let Some(&f) = slot.bound().first() {
                     let mem = core.mem_gb[f];
                     grow_for.push((f, mem));
                 }
@@ -208,14 +208,13 @@ impl SharedPoolPolicy for FluidSharedPool {
         for (f, mem) in grow_for {
             let _ = grow_pool(core, f, mem, now);
         }
-        // Shrink: empty unbound slots release their slices. Dead
-        // (fault-tombstoned) slots are skipped — their slice is already
-        // released and their pool index must stay stable for in-flight
-        // shared events.
-        let mut idx = 0;
-        while idx < core.pool.len() {
+        // Shrink: empty unbound slots release their slices and become
+        // tombstones, so every other slot keeps the index its in-flight
+        // shared events carry. Dead slots are skipped — their slice is
+        // already released.
+        for idx in 0..core.pool.len() {
             let slot = core.pool.slot(idx);
-            if !slot.dead && slot.bound.is_empty() && slot.is_free() && slot.queue.is_empty() {
+            if !slot.dead && slot.bound().is_empty() && slot.is_free() && slot.queue.is_empty() {
                 let slice = core.pool.remove_slot(idx);
                 if core.fleet.release(slice.id).is_ok() {
                     core.hub.slice_released(now, slice.id);
@@ -228,8 +227,6 @@ impl SharedPoolPolicy for FluidSharedPool {
                 ffs_obs::record(|| ffs_obs::ObsEvent::PoolShrink {
                     slice: sref(slice.id),
                 });
-            } else {
-                idx += 1;
             }
         }
     }
@@ -694,8 +691,54 @@ mod tests {
             .pool
             .slots()
             .iter()
+            .filter(|s| !s.dead)
             .map(|s| s.slice.profile.gpcs())
             .sum()
+    }
+
+    /// A pool shrink must not renumber live slots: the in-flight
+    /// `SharedDone` of a later slot still carries its old index.
+    #[test]
+    fn shrinking_the_pool_keeps_in_flight_shared_work_on_its_slot() {
+        let cfg = FfsConfig::paper_default(WorkloadClass::Medium);
+        let apps = WorkloadClass::Medium.apps();
+        let invocations = (0..2)
+            .map(|i| ffs_trace::Invocation {
+                id: i as u64,
+                app: apps[i],
+                arrival: SimTime::ZERO,
+                tenant: 0,
+            })
+            .collect();
+        let trace = Trace {
+            invocations,
+            duration: SimDuration::from_secs(1),
+        };
+        let mut sys = paper_engine(cfg, &trace);
+        let mut sched: Scheduler<Event> = Scheduler::new();
+        let now = SimTime::ZERO;
+        let core = &mut sys.core;
+        let (f0, f1) = (core.requests[0].func, core.requests[1].func);
+        assert_ne!(f0, f1);
+        for f in [f0, f1] {
+            let mem = core.mem_gb[f];
+            grow_pool(core, f, mem, now).expect("a free slice fits");
+        }
+        assert_eq!(core.pool.bind(f0, core.mem_gb[f0]), Some(0));
+        assert_eq!(core.pool.bind(f1, core.mem_gb[f1]), Some(1));
+        core.pool.slot_mut(1).touch_resident(f1);
+        core.start_shared_exec(1, 1, now, &mut sched);
+        // Slot 0's binding expires; the next maintenance pass shrinks it.
+        core.pool.unbind(f0);
+        FluidSharedPool.maintain(core, now);
+        assert_eq!(core.sched_log.pool_shrinks, 1);
+        assert_eq!(core.pool.slot_of(f1), Some(1));
+        ffs_sim::run_until(&mut sys, &mut sched, SimTime::from_secs(10));
+        assert!(
+            sys.core.requests[1].completed.is_some(),
+            "the shared execution must complete on its own slot"
+        );
+        assert!(sys.core.pool.slot(1).is_free());
     }
 
     #[test]

@@ -67,7 +67,8 @@ fn lane_count_never_changes_output() {
 }
 
 /// Same property over randomized multi-tenant scale traces: several
-/// seeds, 1/2/4/8 lanes each, one digest per seed.
+/// seeds, 1/2/3/4/8 lanes each, one digest per seed. Three lanes over four
+/// cells gives unequal home lists, so lanes steal.
 #[test]
 fn lane_count_never_changes_output_on_random_scale_traces() {
     let mut cfg = FfsConfig::paper_default(WorkloadClass::Medium);
@@ -78,7 +79,7 @@ fn lane_count_never_changes_output_on_random_scale_traces() {
         let cell_traces: Vec<_> = (0..4).map(|c| tc.cell_trace(c, 4)).collect();
         let total: usize = cell_traces.iter().map(|ct| ct.trace.len()).sum();
         assert!(total > 0, "seed {seed} generated an empty trace");
-        let digests: Vec<u64> = [1usize, 2, 4, 8]
+        let digests: Vec<u64> = [1usize, 2, 3, 4, 8]
             .iter()
             .map(|&lanes| {
                 let (out, _) =
@@ -116,7 +117,8 @@ fn repeated_sharded_runs_agree() {
 /// `run_until` on the engine directly (there is no platform wrapper in
 /// between), so these pin the sharded path's output across refactors of
 /// the event loop, not just its lane invariance. The overload case fires
-/// same-timestamp arrival bursts and cross-cell forwards.
+/// same-timestamp arrival bursts and cross-cell forwards. Three lanes give
+/// unequal home lists (and steals); eight exceed the cell count.
 #[test]
 fn multi_cell_runs_match_golden_digests() {
     let mut medium = FfsConfig::paper_default(WorkloadClass::Medium);
@@ -131,9 +133,11 @@ fn multi_cell_runs_match_golden_digests() {
     ];
     for (cfg, cells, golden) in cases {
         let n = cells.len();
-        for lanes in [1usize, 2] {
-            let (out, _) = run_sharded_fluid(cfg, cells.clone(), &ShardSpec::new(n, lanes))
+        for lanes in [1usize, 2, 3, 8] {
+            let (out, stats) = run_sharded_fluid(cfg, cells.clone(), &ShardSpec::new(n, lanes))
                 .expect("sharded run");
+            assert_eq!(stats.lanes, lanes.min(n));
+            assert_eq!(stats.lane_busy_secs.len(), stats.lanes);
             assert_eq!(
                 run_output_digest(&out),
                 golden,

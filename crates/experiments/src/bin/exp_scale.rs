@@ -1,5 +1,6 @@
 //! Scale sweep: thousand-GPU fleets on the sharded engine, each fleet
-//! run at 1 lane and `FFS_SHARDS` lanes with a digest cross-check.
+//! run three times at 1 lane and at `FFS_SHARDS` lanes with a digest
+//! cross-check; each row reports its arm's median run.
 //! Writes the harness summary (with a `"scale"` section) to
 //! `BENCH_scale.json` (`BENCH_harness.json` belongs to `exp_all`'s sweep).
 use std::path::Path;

@@ -537,7 +537,7 @@ pub fn write_bench_json(path: &Path, report: &BenchReport) -> std::io::Result<()
                 .iter()
                 .map(|r| {
                     format!(
-                        "      {{ \"gpus\": {}, \"cells\": {}, \"lanes\": {}, \"functions\": {}, \"invocations\": {}, \"events\": {}, \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}, \"runs_per_sec\": {:.3}, \"imbalance\": {:.4}, \"forwards\": {}, \"peak_rss_kb\": {}, \"digest\": \"{:016x}\" }}",
+                        "      {{ \"gpus\": {}, \"cells\": {}, \"lanes\": {}, \"functions\": {}, \"invocations\": {}, \"events\": {}, \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}, \"runs_per_sec\": {:.3}, \"imbalance\": {:.4}, \"cell_events_min\": {}, \"cell_events_median\": {}, \"cell_events_max\": {}, \"steals\": {}, \"busy_share\": {:.4}, \"forwards\": {}, \"peak_rss_kb\": {}, \"digest\": \"{:016x}\" }}",
                         r.gpus,
                         r.cells,
                         r.lanes,
@@ -548,6 +548,11 @@ pub fn write_bench_json(path: &Path, report: &BenchReport) -> std::io::Result<()
                         r.events_per_sec(),
                         r.runs_per_sec(),
                         r.imbalance,
+                        r.cell_events[0],
+                        r.cell_events[1],
+                        r.cell_events[2],
+                        r.steals,
+                        r.busy_share,
                         r.forwards,
                         r.peak_rss_kb,
                         r.digest,

@@ -3,12 +3,13 @@
 //! The paper's evaluation stops at 2 nodes × 8 A100s; this module asks
 //! how the simulator itself scales. For each fleet size it synthesizes an
 //! Azure-scale multi-tenant trace ([`ffs_trace::ScaleTraceConfig`]),
-//! partitions the fleet into cells, and runs the sharded engine twice —
-//! once on a single lane and once on `FFS_SHARDS` lanes — cross-checking
-//! that both produce the same [`fluidfaas::run_output_digest`]. Rows
-//! report runs/s, events/s, peak RSS, forwarding volume and per-cell
-//! event imbalance; `exp_scale` writes them to `BENCH_scale.json` under
-//! the `"scale"` key.
+//! partitions the fleet into cells, and runs the sharded engine on a
+//! single lane and on `FFS_SHARDS` lanes, [`REPEATS`] times each —
+//! cross-checking that every run produces the same
+//! [`fluidfaas::run_output_digest`]. Rows report the median repeat's
+//! runs/s and events/s, peak RSS, forwarding volume, per-cell events
+//! (imbalance, min/median/max), steals and the lanes' busy share;
+//! `exp_scale` writes them to `BENCH_scale.json` under the `"scale"` key.
 //!
 //! Knobs: `FFS_SCALE_GPUS` (comma-separated fleet sizes, default
 //! `16,256,4096`), `FFS_SCALE_FUNCS` (tenant-function count override),
@@ -26,6 +27,10 @@ use fluidfaas::{run_output_digest, run_sharded_fluid, FfsConfig, ShardSpec};
 /// CI job enforces it externally; `exp_scale` also asserts it in-process
 /// so a local run fails the same way CI would.
 pub const RSS_CEILING_KB: u64 = 2 * 1024 * 1024;
+
+/// Runs per (fleet × lane count) arm; a row reports the median by wall
+/// time, since one sub-second run on a shared box is mostly noise.
+pub const REPEATS: usize = 3;
 
 /// Whether the 80%-of-ceiling warning already fired (one-shot).
 static RSS_WARNED: AtomicBool = AtomicBool::new(false);
@@ -60,10 +65,18 @@ pub struct ScaleRow {
     pub events: u64,
     /// Requests forwarded between cells at epoch boundaries.
     pub forwards: u64,
-    /// Wall-clock seconds for this run (excludes trace synthesis).
+    /// Wall-clock seconds of the median of the [`REPEATS`] runs (excludes
+    /// trace synthesis).
     pub wall_secs: f64,
     /// Max-over-mean of per-cell executed events (1.0 = balanced).
     pub imbalance: f64,
+    /// Per-cell executed events: minimum, median and maximum.
+    pub cell_events: [u64; 3],
+    /// Cells lanes stole from each other's home lists (median run).
+    pub steals: u64,
+    /// Share of the median run's lane-seconds the lanes spent working
+    /// cells rather than waiting at barriers or on the serial exchange.
+    pub busy_share: f64,
     /// Process peak RSS in kB after the run (`VmHWM`; 0 off Linux).
     pub peak_rss_kb: u64,
     /// [`run_output_digest`] of the merged output — must agree across
@@ -174,9 +187,13 @@ pub fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs one fleet size at each lane count in `lane_arms`, reusing one
-/// synthesized trace across arms. Returns the measured rows; digests are
-/// compared by the caller.
+/// Runs one fleet size at each lane count in `lane_arms`, [`REPEATS`]
+/// times each, reusing one synthesized trace across all runs. Returns one
+/// row per arm, from its median run; digests are compared across arms by
+/// the caller.
+///
+/// # Panics
+/// If repeats of one arm produce different digests.
 pub fn run_point(
     gpus: usize,
     functions: usize,
@@ -200,19 +217,34 @@ pub fn run_point(
         .sum();
     let mut rows = Vec::with_capacity(lane_arms.len());
     let mut shared = Some(traces);
+    let total_runs = lane_arms.len() * REPEATS;
     for (i, &lanes) in lane_arms.iter().enumerate() {
-        // The last arm consumes the shared trace; earlier arms clone it.
-        let arm_traces = if i + 1 == lane_arms.len() {
-            shared.take().expect("scale trace consumed early")
-        } else {
-            shared.as_ref().expect("scale trace consumed early").clone()
-        };
         let spec = ShardSpec::new(cells, lanes);
-        let start = Instant::now();
-        let (out, stats) =
-            crate::parallel::run_tracked(|| run_sharded_fluid(&cfg, arm_traces, &spec))
-                .expect("sharded scale run failed");
-        let wall_secs = start.elapsed().as_secs_f64();
+        let mut runs = Vec::with_capacity(REPEATS);
+        for r in 0..REPEATS {
+            // The last run consumes the shared trace; earlier runs clone it.
+            let run_traces = if i * REPEATS + r + 1 == total_runs {
+                shared.take().expect("scale trace consumed early")
+            } else {
+                shared.as_ref().expect("scale trace consumed early").clone()
+            };
+            let start = Instant::now();
+            let (out, stats) =
+                crate::parallel::run_tracked(|| run_sharded_fluid(&cfg, run_traces, &spec))
+                    .expect("sharded scale run failed");
+            let wall_secs = start.elapsed().as_secs_f64();
+            runs.push((wall_secs, stats, run_output_digest(&out)));
+        }
+        let digest = runs[0].2;
+        assert!(
+            runs.iter().all(|run| run.2 == digest),
+            "{gpus} GPUs on {lanes} lanes: repeated runs diverged"
+        );
+        runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (wall_secs, stats, _) = &runs[REPEATS / 2];
+        let mut per_cell = stats.events_per_cell.clone();
+        per_cell.sort_unstable();
+        let busy: f64 = stats.lane_busy_secs.iter().sum();
         rows.push(ScaleRow {
             gpus,
             cells: stats.cells,
@@ -221,10 +253,21 @@ pub fn run_point(
             invocations,
             events: stats.events_total(),
             forwards: stats.forwards,
-            wall_secs,
+            wall_secs: *wall_secs,
             imbalance: stats.imbalance(),
+            cell_events: [
+                per_cell.first().copied().unwrap_or(0),
+                per_cell.get(per_cell.len() / 2).copied().unwrap_or(0),
+                per_cell.last().copied().unwrap_or(0),
+            ],
+            steals: stats.steals,
+            busy_share: if *wall_secs > 0.0 {
+                busy / (stats.lanes as f64 * wall_secs)
+            } else {
+                0.0
+            },
             peak_rss_kb: peak_rss_kb(),
-            digest: run_output_digest(&out),
+            digest,
         });
         warn_if_rss_high(rows.last().expect("row just pushed").peak_rss_kb);
     }
@@ -258,8 +301,9 @@ pub struct MulticoreSummary {
 }
 
 /// Runs the multicore probe: a 1024-GPU fleet (64 cells) over a
-/// 60-second synthesized trace, once on 1 lane and once on `FFS_SHARDS`
-/// lanes (minimum 2 so the probe always exercises real parallelism).
+/// 60-second synthesized trace, on 1 lane and on `FFS_SHARDS` lanes
+/// (minimum 2 so the probe always exercises real parallelism), each the
+/// median of [`REPEATS`] runs.
 /// The fleet is sized so the single-lane arm takes several hundred
 /// milliseconds — long enough that lane spawn cost, epoch barriers and
 /// timer granularity don't swamp the measurement. Both arms replay the
@@ -313,7 +357,7 @@ pub fn run_sweep(secs: f64, seed: u64) -> ScaleSummary {
 pub fn render(summary: &ScaleSummary) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "  {:>6} {:>6} {:>6} {:>8} {:>10} {:>12} {:>11} {:>9} {:>7} {:>9} {:>10}  {}\n",
+        "  {:>6} {:>6} {:>6} {:>8} {:>10} {:>12} {:>11} {:>9} {:>7} {:>23} {:>7} {:>6} {:>9} {:>10}  {}\n",
         "gpus",
         "cells",
         "lanes",
@@ -323,13 +367,17 @@ pub fn render(summary: &ScaleSummary) -> String {
         "events/s",
         "wall_s",
         "imbal",
+        "cell_events min/med/max",
+        "steals",
+        "busy",
         "forwards",
         "rss_mb",
         "digest"
     ));
     for r in &summary.rows {
+        let [min, median, max] = r.cell_events;
         out.push_str(&format!(
-            "  {:>6} {:>6} {:>6} {:>8} {:>10} {:>12} {:>11.0} {:>9.2} {:>7.2} {:>9} {:>10.1}  {:016x}\n",
+            "  {:>6} {:>6} {:>6} {:>8} {:>10} {:>12} {:>11.0} {:>9.3} {:>7.2} {:>23} {:>7} {:>6.2} {:>9} {:>10.1}  {:016x}\n",
             r.gpus,
             r.cells,
             r.lanes,
@@ -339,6 +387,9 @@ pub fn render(summary: &ScaleSummary) -> String {
             r.events_per_sec(),
             r.wall_secs,
             r.imbalance,
+            format!("{min}/{median}/{max}"),
+            r.steals,
+            r.busy_share,
             r.forwards,
             r.peak_rss_kb as f64 / 1024.0,
             r.digest,
@@ -368,8 +419,19 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].digest, rows[1].digest);
         assert_eq!(rows[0].events, rows[1].events);
+        assert_eq!(rows[0].cell_events, rows[1].cell_events);
         assert_eq!(rows[0].invocations, rows[1].invocations);
         assert!(rows[0].invocations > 0);
+        let [min, median, max] = rows[0].cell_events;
+        assert!(min <= median && median <= max && max > 0);
+        assert_eq!(rows[0].steals, 0, "one lane has nobody to steal from");
+        for r in &rows {
+            assert!(
+                r.busy_share > 0.0 && r.busy_share <= 1.0 + 1e-9,
+                "{}",
+                r.busy_share
+            );
+        }
     }
 
     #[test]

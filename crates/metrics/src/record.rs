@@ -141,6 +141,21 @@ impl RequestLog {
         self.breakdowns.reserve(n);
     }
 
+    /// Rewrites every record's id through `map` (a sharded run's cell
+    /// logs hold cell-local ids until they are merged).
+    pub fn remap_ids(&mut self, mut map: impl FnMut(u64) -> u64) {
+        for r in &mut self.records {
+            r.id = map(r.id);
+        }
+    }
+
+    /// Moves every record of `other` to the end of this log, in order,
+    /// leaving `other` empty. Each record keeps its breakdown.
+    pub fn append(&mut self, other: &mut RequestLog) {
+        self.records.append(&mut other.records);
+        self.breakdowns.append(&mut other.breakdowns);
+    }
+
     /// All records.
     pub fn records(&self) -> &[RequestRecord] {
         &self.records
@@ -387,6 +402,35 @@ mod tests {
         let app1 = log.mean_breakdown_for(1);
         assert!((app1.exec_ms - 30.0).abs() < 1e-12);
         assert_eq!(log.mean_breakdown_for(3), Breakdown::default());
+    }
+
+    #[test]
+    fn append_and_remap_keep_each_breakdown_with_its_record() {
+        let first = [
+            record(0, 0, 0, Some(40.0), 500.0),
+            record(1, 1, 0, None, 500.0),
+        ];
+        let second = [
+            record(0, 1, 1, None, 500.0),
+            record(1, 0, 1, Some(70.0), 500.0),
+        ];
+        let (mut a, mut b) = (RequestLog::new(), RequestLog::new());
+        first.into_iter().for_each(|p| push(&mut a, p));
+        second.into_iter().for_each(|p| push(&mut b, p));
+        b.remap_ids(|id| id + 10);
+        a.append(&mut b);
+        assert!(b.is_empty());
+        let merged: Vec<(u64, Breakdown)> = a
+            .records_with_breakdowns()
+            .map(|(r, b)| (r.id, b))
+            .collect();
+        let want = [
+            (0, first[0].1),
+            (1, Breakdown::default()),
+            (10, Breakdown::default()),
+            (11, second[1].1),
+        ];
+        assert_eq!(merged, want);
     }
 
     #[test]

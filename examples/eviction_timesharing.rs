@@ -63,7 +63,7 @@ fn main() {
         let bound = pool.bind(f, 6.0);
         assert_eq!(bound, Some(slot));
     }
-    println!("  bound functions: {:?}", pool.slot(slot).bound);
+    println!("  bound functions: {:?}", pool.slot(slot).bound());
 
     // Requests arrive round-robin; each non-resident dispatch evicts the
     // LRU resident (strong isolation preserved: one function at a time).
