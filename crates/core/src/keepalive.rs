@@ -14,10 +14,8 @@
 //! The transition function is pure so it can be property-tested; the
 //! platform drives it with utilization measurements and timer events.
 
-use serde::{Deserialize, Serialize};
-
 /// Keep-alive state of a function's time-sharing lineage (Figure 8).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KeepAliveState {
     /// No instance exists (terminated or never created).
     Cold,

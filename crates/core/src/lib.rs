@@ -58,7 +58,7 @@ pub use platform::engine::{Engine, EngineCore, EngineError};
 pub use platform::mqfq::{mqfq_policies, mqfq_policies_with, MqfqParams, MqfqState};
 pub use platform::policy::PolicyBundle;
 pub use platform::sharded::{
-    run_output_digest, run_sharded, run_sharded_fluid, ShardRunStats, ShardSpec, ShardView,
+    run_output_digest, run_sharded, run_sharded_fluid, ShardRunStats, ShardSpec,
 };
 pub use system::{
     paper_policies, FluidAutoscaler, FluidMigrator, FluidPlacer, FluidRouter, FluidSharedPool,

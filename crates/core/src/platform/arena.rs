@@ -40,13 +40,11 @@ use super::request::RequestState;
 use super::slab::InstanceSlab;
 
 /// Pool size cap per container family. A single-engine run holds one of
-/// each, but a sharded run holds one per cell (64 on a 1024-GPU fleet), so
-/// beyond the cap its cells construct fresh containers every run and the
-/// surplus is dropped on return. (A sharded cell uses the pool of the lane
-/// that sets it up and of the lane that folds it; only lane 0, the calling
-/// thread, outlives the run.) Fresh construction is cheap — a scheduler
-/// is two slot-table allocations — so the cap bounds pooled memory rather
-/// than guarding a slow path.
+/// each, and so does each lane of a sharded run, which finishes a cell and
+/// returns its containers before it sets up the next; only lane 0, the
+/// calling thread, outlives the run. Fresh construction is cheap — a
+/// scheduler is two slot-table allocations — so the cap bounds pooled
+/// memory rather than guarding a slow path.
 const MAX_POOLED: usize = 8;
 
 /// Counters describing the calling thread's arena behaviour.

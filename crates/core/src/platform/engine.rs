@@ -35,7 +35,6 @@ use super::hub::MetricsHub;
 use super::policy::PolicyBundle;
 use super::request::RequestState;
 use super::runner::{FaultStats, Platform};
-use super::sharded::ShardView;
 use super::slab::{InstanceSlab, PhaseTag};
 
 /// Maximum instance launches per function per scale tick (burst ramp
@@ -184,10 +183,6 @@ pub struct EngineCore {
     pub slo: Vec<SimDuration>,
     /// Fault-injection state (`ffs-chaos`); inert when faults are disabled.
     pub chaos: ChaosState,
-    /// This core's place in a sharded run (`ShardView::solo()` outside
-    /// one). Policy code may read it to learn about peer shards without
-    /// ever holding a reference to them.
-    pub shard: ShardView,
 }
 
 /// Position of `p` in `SliceProfile::ALL` (the per-profile table order).
@@ -303,7 +298,6 @@ impl EngineCore {
             mem_gb,
             slo,
             chaos,
-            shard: ShardView::solo(),
         })
     }
 
@@ -1451,24 +1445,19 @@ impl Platform for Engine {
         // `requests` and `hub` are disjoint fields, so the table is walked
         // in place (table order) while the hub logs each abandonment.
         let core = &mut self.core;
-        let mut moved = 0usize;
         for r in &core.requests {
-            if r.moved {
-                moved += 1;
-            } else if r.completed.is_none() {
+            if r.completed.is_none() {
                 core.hub.abandon(r);
             }
         }
         // Each request is logged exactly once: completed ones when they
-        // finished, the rest just above, and moved tombstones by the peer
-        // shard that adopted them. Checked in release builds too.
+        // finished, the rest just above. Checked in release builds too.
         assert_eq!(
             core.hub.log.len(),
-            core.requests.len() - moved,
-            "request log holds {} records for {} requests ({} moved to peers)",
-            core.hub.log.len(),
             core.requests.len(),
-            moved
+            "request log holds {} records for {} requests",
+            core.hub.log.len(),
+            core.requests.len()
         );
         // Satellite: interval-clamp regression guard. A fault-free run has
         // no out-of-order interval closes, so every `saturating_since`

@@ -24,7 +24,4 @@ pub use policy::{
 };
 pub use request::{RequestState, ServePath};
 pub use runner::{run_platform, FaultStats, Platform, RunOutput};
-pub use sharded::{
-    run_output_digest, run_sharded, run_sharded_fluid, ShardMsg, ShardRunStats, ShardSpec,
-    ShardView,
-};
+pub use sharded::{run_output_digest, run_sharded, run_sharded_fluid, ShardRunStats, ShardSpec};

@@ -38,10 +38,6 @@ pub struct RequestState {
     pub transfer_ms: f64,
     /// How the request was served (set when execution starts).
     pub served: Option<ServePath>,
-    /// Handed to a peer shard at an epoch boundary: the local record is a
-    /// tombstone — the peer owns the request's outcome, so finalize must
-    /// not count this copy as abandoned.
-    pub moved: bool,
     /// Owning tenant, copied from the trace invocation (0 when the
     /// caller never sets it, e.g. unit-test fixtures).
     pub tenant: u32,
@@ -67,7 +63,6 @@ impl RequestState {
             load_ms: 0.0,
             transfer_ms: 0.0,
             served: None,
-            moved: false,
             tenant: 0,
         }
     }

@@ -104,6 +104,23 @@ impl RunOutput {
 /// Runs a platform through a trace: schedules all arrivals plus the first
 /// scale tick, runs to completion (trace end + drain), finalises metrics.
 pub fn run_platform<P: Platform>(platform: &mut P, trace: &Trace) -> RunOutput {
+    ffs_obs::record_at(0, || ffs_obs::ObsEvent::RunStart {
+        invocations: trace.invocations.len() as u64,
+        gpus: platform.num_gpus() as u32,
+    });
+    let (out, _) = drive(platform, trace);
+    ffs_obs::record_at(out.duration.as_micros(), || ffs_obs::ObsEvent::RunEnd {
+        sim_secs: out.duration.as_secs_f64(),
+    });
+    out
+}
+
+/// The one copy of a run's event-loop sequence, shared by
+/// [`run_platform`] and every cell of a sharded run: preload, one
+/// `run_until` to trace end + drain, finalize, collect. Returns the output
+/// and the number of events executed. Records no obs run markers; the
+/// caller brackets its whole run with one `RunStart`/`RunEnd` pair.
+pub(super) fn drive<P: Platform>(platform: &mut P, trace: &Trace) -> (RunOutput, u64) {
     // All arrivals go in up front via the sorted bulk path (traces are
     // sorted by arrival), which keeps them out of the scheduler's wheel
     // and overflow heap: the drain merges them in as they come due.
@@ -119,30 +136,18 @@ pub fn run_platform<P: Platform>(platform: &mut P, trace: &Trace) -> RunOutput {
     );
     sched.at(SimTime::ZERO, Event::ScaleTick);
     let end = SimTime::ZERO + trace.duration + platform.drain();
-    ffs_obs::record_at(0, || ffs_obs::ObsEvent::RunStart {
-        invocations: trace.invocations.len() as u64,
-        gpus: platform.num_gpus() as u32,
-    });
     drop(setup);
     run_until(platform, &mut sched, end);
     // Everything after the event loop is metrics folding: finalization,
     // hub surrender, report assembly.
     let _fold = ffs_telemetry::span(ffs_telemetry::Phase::ObsFold);
     platform.finalize(end);
-    ffs_obs::record_at(end.as_micros(), || ffs_obs::ObsEvent::RunEnd {
-        sim_secs: end.saturating_since(SimTime::ZERO).as_secs_f64(),
-    });
+    let events = sched.executed();
     super::arena::store_scheduler(sched);
-    collect_output(platform, end)
-}
-
-/// Surrenders a finalized platform's metrics as the [`RunOutput`] of a run
-/// that ended at `end`.
-pub(super) fn collect_output<P: Platform>(platform: &mut P, end: SimTime) -> RunOutput {
     let slices_per_gpu = platform.slices_per_gpu();
     let faults = platform.fault_stats();
     let hub = platform.take_hub();
-    RunOutput {
+    let out = RunOutput {
         log: hub.log,
         cost: hub.cost.finalize(end),
         busy_gpcs: hub.busy_gpcs.curve(),
@@ -151,5 +156,6 @@ pub(super) fn collect_output<P: Platform>(platform: &mut P, end: SimTime) -> Run
         duration: end.saturating_since(SimTime::ZERO),
         slices_per_gpu,
         faults,
-    }
+    };
+    (out, events)
 }

@@ -1,14 +1,13 @@
-//! The sharded fleet engine: lock-stepped multi-cell simulation.
+//! The sharded fleet engine: independent cells on a pool of lanes.
 //!
 //! One [`EngineCore`](super::engine::EngineCore) owning the whole fleet is
 //! the scale wall for thousand-GPU runs: the timer wheel, instance slab,
 //! and per-function tables all grow with fleet size, and a single event
 //! loop leaves every other core idle. This module partitions the fleet
 //! into `cells` — each a full engine with its own wheel, slab, arena
-//! containers, and metrics hub over a contiguous slice of the fleet — and
-//! advances all of them in lock-stepped time *epochs*, exchanging
-//! cross-cell traffic only at epoch boundaries through the deterministic
-//! [`Sequencer`].
+//! containers, and metrics hub over a contiguous slice of the fleet and
+//! its own slice of the trace — and runs every cell start to finish as an
+//! independent run. Cells never exchange work.
 //!
 //! # Cells vs lanes
 //!
@@ -16,104 +15,60 @@
 //! makes the output reproducible:
 //!
 //! * **Cells** are *logical* shards, fixed by the run configuration
-//!   ([`ShardSpec::cells`]). The fleet partition, the per-cell traces, and
-//!   every cross-cell forwarding decision depend only on cells.
+//!   ([`ShardSpec::cells`]). The fleet partition and the per-cell traces
+//!   depend only on cells.
 //! * **Lanes** are *physical* worker threads ([`ShardSpec::lanes`]). Lanes
-//!   decide only *who executes* a cell's work, never *what happens* in it.
+//!   decide only *who runs* a cell, never *what happens* in it.
 //!
-//! # Lane ownership
-//!
-//! Lane `l`'s *home* cells are `c ≡ l (mod lanes)`, in ascending order.
-//! Each phase — set-up, every epoch, the final fold — a lane takes its
-//! home cells front to back, so a cell usually stays on one core and in
-//! its cache. A lane that runs out steals not-yet-started cells from the
-//! *back* of another lane's list, so no lane idles at the barrier while a
-//! peer still has cells queued. Each list is one packed `(front, back)`
-//! [`AtomicU64`] claimed by compare-and-swap; lane 0 re-arms all of them
-//! between the two barriers of every boundary.
+//! # Lifecycle
 //!
 //! ```text
 //!  calling thread: policy bundles, cell order (`make_policies` need not be Sync)
 //!        │
-//!  lanes ├─ set-up    each claimed cell: scheduler + engine from the lane's arena
-//!        │  barrier · lane 0: re-arm lists · barrier
-//!        ├─ epoch k   each claimed cell: run_until(t_k), then its census
-//!        │  barrier · lane 0: exchange_epoch (serial), re-arm lists · barrier
-//!        │  … until t_k = end (no exchange at end)
-//!        ├─ fold      each claimed cell: finalize, take_hub, ids → global,
-//!        │            cost, curves; containers back to the lane's arena
+//!  lanes ├─ claim the next cell index from one shared counter
+//!        │  set up its engine (containers from the lane's arena),
+//!        │  one run_until(end), finalize, ids → global, fold;
+//!        │  containers back to the lane's arena
+//!        │  … until every cell is claimed
 //!  calling thread: concatenate the cell outputs in cell order
 //! ```
+//!
+//! A cell runs on the same driver as
+//! [`run_platform`](super::runner::run_platform), so a one-cell run is
+//! byte-identical to it. Lane 0 is the calling thread: one lane spawns no
+//! threads.
+//!
+//! Lanes claim cells in index order from one shared counter, so a lane
+//! that finishes early simply takes the next cell and the idle tail is at
+//! most one cell long. Claiming the largest trace first did not beat
+//! index order in prototype runs: trace length does not predict a cell's
+//! cost well. Each lane holds one live cell at a time — its engine,
+//! scheduler and request table go back to the lane's arena before it
+//! claims the next — so peak memory is the lanes' live cells plus the
+//! folded outputs, not every cell's engine at once.
 //!
 //! # Determinism argument
 //!
 //! The run is a pure function of `(traces, config, seed)` and is
-//! byte-identical for any lane count:
-//!
-//! 1. *Within a phase* each cell is claimed by exactly one lane, and its
-//!    work touches only that cell; cells share no mutable state, so the
-//!    outcome per cell is independent of which lane ran it or in what
-//!    wall-clock order.
-//! 2. *At a boundary* all lanes rendezvous at a barrier; then lane 0
-//!    performs the whole exchange serially, scanning cells in index order
-//!    and emitting messages through the [`Sequencer`], whose canonical
-//!    `(dst, src, seq)` order is derived from simulation state only. The
-//!    census it reads was taken by each cell's lane right after the cell's
-//!    `run_until`, and nothing touches a cell between the two.
-//! 3. *Epoch boundaries* are computed identically by every lane as
-//!    `min(k·epoch, end)` in integer microseconds, so all lanes agree on
-//!    the schedule without communicating.
-//! 4. *The merge* concatenates the folded cells in cell index order.
-//!
-//! With one cell the loop degenerates to chained `run_until` calls on one
-//! engine, which the deadline-exclusive scheduler semantics make
-//! bit-equal to the single `run_until(end)` of
-//! [`run_platform`](super::runner::run_platform) — pinned by the
-//! `shard_determinism` golden tests.
+//! byte-identical for any lane count: each cell is claimed by exactly one
+//! lane, cells share no mutable state, and arena reuse is bit-neutral, so
+//! a cell's output does not depend on which lane ran it or when. The
+//! merge concatenates the cell outputs in cell index order.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ffs_metrics::{CostReport, RequestLog};
-use ffs_sim::{run_until, Scheduler, Sequencer, SimDuration, SimTime};
+use ffs_sim::{SimDuration, SimTime};
 use ffs_telemetry::{span, Phase as TelemetryPhase};
 use ffs_trace::CellTrace;
 
 use crate::config::FfsConfig;
 
-use super::catalog::FuncId;
 use super::engine::{Engine, EngineError};
-use super::events::Event;
 use super::policy::PolicyBundle;
-use super::request::RequestState;
-use super::runner::{collect_output, FaultStats, Platform, RunOutput};
-
-/// What a cell's engine may know about the rest of a sharded run. Policy
-/// code reads this instead of holding references to peer cells, so the
-/// same policies run unchanged inside and outside a sharded engine.
-#[derive(Clone, Debug)]
-pub struct ShardView {
-    /// This cell's index.
-    pub cell: usize,
-    /// Total number of cells in the run.
-    pub cells: usize,
-    /// Pending-request backlog of every cell as of the last epoch
-    /// boundary (including this one; zeros before the first boundary).
-    pub peer_backlog: Vec<u64>,
-}
-
-impl ShardView {
-    /// The view of an engine running outside a sharded run (one cell,
-    /// which is itself).
-    pub fn solo() -> Self {
-        ShardView {
-            cell: 0,
-            cells: 1,
-            peer_backlog: vec![0],
-        }
-    }
-}
+use super::runner::{drive, FaultStats, RunOutput};
 
 /// Shape of a sharded run.
 #[derive(Clone, Debug)]
@@ -121,191 +76,37 @@ pub struct ShardSpec {
     /// Logical cells the fleet is partitioned into (`cfg.nodes` must be
     /// divisible by this).
     pub cells: usize,
-    /// Worker threads advancing the cells (clamped to `cells`; purely
+    /// Worker threads running the cells (clamped to `cells`; purely
     /// physical — any value produces byte-identical output).
     pub lanes: usize,
-    /// Epoch length: how often cells rendezvous to exchange traffic.
-    pub epoch: SimDuration,
-    /// Cap on requests forwarded per starving function per boundary.
-    pub max_forwards_per_func: usize,
 }
 
 impl ShardSpec {
-    /// `cells` cells on `lanes` lanes with the default 1 s epoch.
+    /// `cells` cells on `lanes` lanes.
     pub fn new(cells: usize, lanes: usize) -> Self {
-        ShardSpec {
-            cells,
-            lanes,
-            epoch: SimDuration::from_secs(1),
-            max_forwards_per_func: 32,
-        }
-    }
-
-    /// The degenerate single-cell, single-lane spec.
-    pub fn solo() -> Self {
-        ShardSpec::new(1, 1)
+        ShardSpec { cells, lanes }
     }
 }
 
-/// A cross-cell message. Only starving-function overflow is forwarded
-/// today; the envelope leaves room for migration and autoscaler
-/// directives to ride the same sequenced channel.
-#[derive(Clone, Debug)]
-pub enum ShardMsg {
-    /// Hand a queued request to a less-loaded peer: it re-enters the
-    /// destination engine's controller as a retry at the boundary time,
-    /// keeping its original arrival (so end-to-end latency still counts
-    /// the time spent starving on the source cell).
-    Forward {
-        /// Trace-global invocation id.
-        global_id: u64,
-        /// The function (catalogs are identical across cells).
-        func: FuncId,
-        /// Original arrival time.
-        arrival: SimTime,
-        /// Owning tenant (rides along so per-tenant metrics survive
-        /// the handoff).
-        tenant: u32,
-    },
-}
-
-/// One cell of a sharded run: an engine over its slice of the fleet, its
-/// scheduler, the map from cell-local request ids back to trace-global
-/// ids (grown when requests are adopted from peers), and the census the
-/// boundary exchange reads.
-struct CellState {
-    engine: Engine,
-    sched: Scheduler<Event>,
-    global_ids: Vec<u64>,
-    /// Pending (un-admitted) requests after the latest `run_until`.
-    backlog: u64,
-    /// Functions starving after the latest `run_until`, ascending.
-    starving: Vec<FuncId>,
-}
-
-impl CellState {
-    /// Builds cell `cell`'s engine and scheduler, taking their containers
-    /// from the calling lane's arena.
-    fn set_up(
-        cfg: &FfsConfig,
-        cell: usize,
-        cells: usize,
-        ct: CellTrace,
-        policies: PolicyBundle,
-    ) -> Result<Self, EngineError> {
-        let mut sched: Scheduler<Event> = super::arena::take_scheduler(ct.trace.len());
-        sched.preload_sorted(
-            ct.trace
-                .invocations
-                .iter()
-                .map(|inv| (inv.arrival, Event::Arrival(inv.id))),
-        );
-        sched.at(SimTime::ZERO, Event::ScaleTick);
-        let mut engine = Engine::new(cfg.clone(), policies, &ct.trace)?;
-        engine.core.shard = ShardView {
-            cell,
-            cells,
-            peer_backlog: vec![0; cells],
-        };
-        Ok(CellState {
-            engine,
-            sched,
-            global_ids: ct.global_ids,
-            backlog: 0,
-            starving: Vec::new(),
-        })
-    }
-
-    /// Records what the boundary exchange needs from this cell.
-    fn take_census(&mut self) {
-        let core = &self.engine.core;
-        self.backlog = core.pending.iter().map(|q| q.len() as u64).sum();
-        self.starving = core.starving_funcs();
-    }
-
-    /// Adopts a forwarded request at boundary time `now`: appends a fresh
-    /// request record and re-enters it through the engine's existing
-    /// retry path, which re-queues and re-dispatches it.
-    fn adopt(&mut self, msg: ShardMsg, now: SimTime) {
-        let ShardMsg::Forward {
-            global_id,
-            func,
-            arrival,
-            tenant,
-        } = msg;
-        let core = &mut self.engine.core;
-        let local = core.requests.len() as u64;
-        let mut state = RequestState::with_slo(local, func, arrival, core.slo[func]);
-        state.tenant = tenant;
-        core.requests.push(state);
-        self.global_ids.push(global_id);
-        self.sched.at(now, Event::Retry(local));
-    }
-
-    /// Finalizes the cell at `end` into its own [`RunOutput`], with the
-    /// log on trace-global ids. The scheduler, request buffer and slab go
-    /// back to the calling lane's arena.
-    fn fold(self, end: SimTime) -> CellSlot {
-        let CellState {
-            mut engine,
-            sched,
-            global_ids,
-            ..
-        } = self;
-        let events = sched.executed();
-        engine.finalize(end);
-        super::arena::store_scheduler(sched);
-        let mut out = collect_output(&mut engine, end);
-        drop(engine);
-        out.log.remap_ids(|id| global_ids[id as usize]);
-        CellSlot::Folded { events, out }
-    }
-}
-
-/// A cell as it moves through the run, behind its own lock.
-enum CellSlot {
-    /// Before set-up: the cell's trace and policy bundle.
-    Input(CellTrace, PolicyBundle),
-    /// Set up and simulating.
-    Live(Box<CellState>),
-    /// Set-up failed.
-    Failed(EngineError),
-    /// Finalized: events executed and the cell's output.
-    Folded { events: u64, out: RunOutput },
-    /// Momentarily empty while its lane moves it to the next stage.
-    Moving,
-}
-
-impl CellSlot {
-    fn live(&mut self) -> &mut CellState {
-        match self {
-            CellSlot::Live(st) => st,
-            _ => unreachable!("cell is not live"),
-        }
-    }
-}
-
-/// Counters describing how a sharded run went. `cells`, `lanes`,
-/// `epochs`, `forwards` and `events_per_cell` are deterministic; `steals`
-/// and `lane_busy_secs` are observational — they depend on thread timing
-/// and are not part of the deterministic output.
+/// Counters describing how a sharded run went. `cells`, `lanes` and
+/// `events_per_cell` are deterministic; `lane_busy_secs` is observational
+/// — it depends on thread timing and is not part of the deterministic
+/// output.
 #[derive(Clone, Debug)]
 pub struct ShardRunStats {
     /// Cells in the run.
     pub cells: usize,
     /// Lanes that executed it.
     pub lanes: usize,
-    /// Epoch boundaries crossed.
+    /// Always 0: cells run independently, with no epoch boundaries. Kept
+    /// only because the repository benchmark still reports it.
     pub epochs: u64,
-    /// Requests forwarded between cells.
+    /// Always 0: cells never forward requests to each other. Kept only
+    /// because the repository benchmark still reports it.
     pub forwards: u64,
     /// Events executed by each cell's scheduler.
     pub events_per_cell: Vec<u64>,
-    /// Cell claims a lane took from another lane's home list, over all
-    /// phases (set-up, epochs, fold).
-    pub steals: u64,
-    /// Wall seconds each lane spent claiming and working cells, over all
-    /// phases; barrier waits and the serial exchange are not included.
+    /// Wall seconds each lane spent claiming and running cells.
     pub lane_busy_secs: Vec<f64>,
 }
 
@@ -331,203 +132,64 @@ impl ShardRunStats {
     }
 }
 
-/// The lanes' claim lists for one phase. Lane `l`'s home list is the cells
-/// `l, l + lanes, l + 2·lanes, …`; its claim state is one packed
-/// `(front, back)` pair of positions into that list, so the owner's
-/// front-first takes and thieves' back-first steals are each a single
-/// compare-and-swap and no cell is handed out twice.
-struct CellQueues {
-    cells: usize,
-    lanes: usize,
-    ends: Vec<AtomicU64>,
+/// A cell's input, taken by the lane that claims it.
+type CellInput = Mutex<Option<(CellTrace, PolicyBundle)>>;
+
+/// A finished cell: its output (log on trace-global ids) and the events
+/// its scheduler executed.
+type CellResult = Result<(RunOutput, u64), EngineError>;
+
+/// Runs one cell start to finish on `cfg` (the per-cell config) and maps
+/// its log onto trace-global ids. The engine's containers go back to the
+/// calling lane's arena before this returns.
+fn run_cell(cfg: &FfsConfig, ct: CellTrace, policies: PolicyBundle) -> CellResult {
+    let mut engine = {
+        let _setup = span(TelemetryPhase::EngineSetup);
+        Engine::new(cfg.clone(), policies, &ct.trace)?
+    };
+    let (mut out, events) = drive(&mut engine, &ct.trace);
+    drop(engine);
+    out.log.remap_ids(|id| ct.global_ids[id as usize]);
+    Ok((out, events))
 }
 
-impl CellQueues {
-    /// Armed lists for `cells` cells on `lanes` lanes (`1 ≤ lanes ≤ cells`).
-    fn new(cells: usize, lanes: usize) -> Self {
-        let q = CellQueues {
-            cells,
-            lanes,
-            ends: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
+/// One lane: claims cell indices from `next` in order and runs each cell
+/// until none is left. Returns the lane's busy time and its cells'
+/// results, each tagged with its cell index.
+fn run_lane(
+    cfg: &FfsConfig,
+    inputs: &[CellInput],
+    next: &AtomicUsize,
+) -> (Duration, Vec<(usize, CellResult)>) {
+    let start = Instant::now();
+    let mut done = Vec::new();
+    // `Relaxed` is enough: the counter only hands out distinct indices,
+    // and each input is behind its own lock.
+    loop {
+        let c = next.fetch_add(1, Ordering::Relaxed);
+        let Some(input) = inputs.get(c) else {
+            break;
         };
-        q.rearm();
-        q
+        let (ct, policies) = input
+            .lock()
+            .expect("cell input lock")
+            .take()
+            .expect("each cell is claimed once");
+        done.push((c, run_cell(cfg, ct, policies)));
     }
-
-    /// Restores every home list in full. Only called while no lane claims
-    /// (between the two barriers of a boundary); the second barrier orders
-    /// these `Relaxed` stores before every lane's next claim.
-    fn rearm(&self) {
-        for (lane, ends) in self.ends.iter().enumerate() {
-            let len = (self.cells - lane).div_ceil(self.lanes) as u64;
-            ends.store(len, Ordering::Relaxed);
-        }
-    }
-
-    /// Takes the front (own list) or back (a steal) of `lane`'s list.
-    fn take(&self, lane: usize, back: bool) -> Option<usize> {
-        let ends = &self.ends[lane];
-        let mut cur = ends.load(Ordering::Acquire);
-        loop {
-            let (front, end) = (cur >> 32, cur & u64::from(u32::MAX));
-            if front >= end {
-                return None;
-            }
-            let (next, pos) = if back {
-                (cur - 1, end - 1)
-            } else {
-                (cur + (1 << 32), front)
-            };
-            match ends.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return Some(lane + pos as usize * self.lanes),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// `lane`'s next cell: its own list front first, then the back of the
-    /// next non-empty list after it. `None` once every list is empty; the
-    /// flag is true for a steal.
-    fn claim(&self, lane: usize) -> Option<(usize, bool)> {
-        if let Some(c) = self.take(lane, false) {
-            return Some((c, false));
-        }
-        (1..self.lanes)
-            .find_map(|d| self.take((lane + d) % self.lanes, true))
-            .map(|c| (c, true))
-    }
-}
-
-/// What one lane did in a run (observational).
-#[derive(Default)]
-struct LaneReport {
-    steals: u64,
-    busy: Duration,
-    /// Boundaries crossed (lane 0 only).
-    epochs: u64,
-    /// Requests forwarded (lane 0 only).
-    forwards: u64,
-}
-
-/// Everything the lanes of one run share.
-struct Lanes<'a> {
-    slots: Vec<Mutex<CellSlot>>,
-    queues: CellQueues,
-    barrier: Barrier,
-    /// The per-cell config.
-    cfg: &'a FfsConfig,
-    spec: &'a ShardSpec,
-    end: SimTime,
-    epoch_us: u64,
-    /// Set by a lane whose cell failed set-up; every lane stops at the
-    /// boundary after set-up. `Relaxed` is enough: the flag is only read
-    /// after that boundary's barriers, which order it after every store.
-    failed: AtomicBool,
-}
-
-impl Lanes<'_> {
-    /// One lane's whole run. Lane 0 is the calling thread, and also runs
-    /// the serial step of every boundary.
-    fn run(&self, lane: usize) -> LaneReport {
-        let cells = self.slots.len();
-        let mut rep = LaneReport::default();
-        {
-            let _setup = span(TelemetryPhase::EngineSetup);
-            self.phase(lane, &mut rep, |c, slot| {
-                let CellSlot::Input(ct, policies) = std::mem::replace(slot, CellSlot::Moving)
-                else {
-                    unreachable!("cell {c} set up twice")
-                };
-                *slot = match CellState::set_up(self.cfg, c, cells, ct, policies) {
-                    Ok(st) => CellSlot::Live(Box::new(st)),
-                    Err(e) => {
-                        self.failed.store(true, Ordering::Relaxed);
-                        CellSlot::Failed(e)
-                    }
-                };
-            });
-        }
-        self.boundary(lane, || {});
-        if self.failed.load(Ordering::Relaxed) {
-            return rep;
-        }
-
-        let end_us = self.end.as_micros();
-        // Only lane 0 sends: it runs every boundary's exchange.
-        let mut seq: Sequencer<ShardMsg> = Sequencer::new(cells);
-        for k in 1u64.. {
-            let t_us = end_us.min(self.epoch_us.saturating_mul(k));
-            let t = SimTime::from_micros(t_us);
-            // Exchange at the boundary — but never at `end`: a request
-            // forwarded there could not be adopted into any further
-            // simulation, and its record would be lost.
-            let exchange = cells > 1 && t_us < end_us;
-            self.phase(lane, &mut rep, |_, slot| {
-                let st = slot.live();
-                run_until(&mut st.engine, &mut st.sched, t);
-                if exchange {
-                    st.take_census();
-                }
-            });
-            self.boundary(lane, || {
-                rep.epochs += 1;
-                if exchange {
-                    rep.forwards += exchange_epoch(&self.slots, &mut seq, self.spec, t);
-                }
-            });
-            if t_us >= end_us {
-                break;
-            }
-        }
-
-        let _fold = span(TelemetryPhase::ObsFold);
-        self.phase(lane, &mut rep, |_, slot| {
-            let CellSlot::Live(st) = std::mem::replace(slot, CellSlot::Moving) else {
-                unreachable!("cell is not live")
-            };
-            *slot = (*st).fold(self.end);
-        });
-        rep
-    }
-
-    /// Claims cells until every list is empty, running `work` on each.
-    fn phase(&self, lane: usize, rep: &mut LaneReport, mut work: impl FnMut(usize, &mut CellSlot)) {
-        let start = Instant::now();
-        while let Some((c, stolen)) = self.queues.claim(lane) {
-            rep.steals += u64::from(stolen);
-            work(c, &mut self.slots[c].lock().expect("cell lock"));
-        }
-        rep.busy += start.elapsed();
-    }
-
-    /// A phase boundary: every lane parks, lane 0 runs `serial` and
-    /// re-arms the claim lists, and every lane parks again.
-    fn boundary(&self, lane: usize, serial: impl FnOnce()) {
-        self.wait();
-        if lane == 0 {
-            serial();
-            self.queues.rearm();
-        }
-        self.wait();
-    }
-
-    fn wait(&self) {
-        if self.queues.lanes > 1 {
-            let _b = span(TelemetryPhase::EpochBarrier);
-            self.barrier.wait();
-        }
-    }
+    (start.elapsed(), done)
 }
 
 /// Runs a fleet split into `spec.cells` cells over the per-cell traces,
-/// advancing cells on `spec.lanes` worker lanes, and merges the per-cell
-/// results into one fleet-wide [`RunOutput`].
+/// running whole cells on `spec.lanes` worker lanes, and merges the
+/// per-cell results into one fleet-wide [`RunOutput`].
 ///
 /// `cfg` describes the *whole* fleet; each cell gets `cfg.nodes /
 /// spec.cells` nodes and its own policy bundle from `make_policies`,
 /// called on the calling thread in cell order. The output is
 /// byte-identical for any `spec.lanes`, and with one cell it is
-/// byte-identical to `run_platform` on the undivided config.
+/// byte-identical to `run_platform` on the undivided config. If cells
+/// fail to set up, the error is the lowest-numbered failing cell's.
 pub fn run_sharded<F>(
     cfg: &FfsConfig,
     cell_traces: Vec<CellTrace>,
@@ -561,11 +223,11 @@ where
         .unwrap_or(SimDuration::from_secs(0));
     let total_invocations: usize = cell_traces.iter().map(|ct| ct.trace.len()).sum();
     let end = SimTime::ZERO + duration + cell_cfg.drain;
-    let slots: Vec<Mutex<CellSlot>> = cell_traces
+    let inputs: Vec<CellInput> = cell_traces
         .into_iter()
         .map(|ct| {
             debug_assert_eq!(ct.trace.duration, duration, "cells share one horizon");
-            Mutex::new(CellSlot::Input(ct, make_policies(&cell_cfg)))
+            Mutex::new(Some((ct, make_policies(&cell_cfg))))
         })
         .collect();
     ffs_obs::record_at(0, || ffs_obs::ObsEvent::RunStart {
@@ -577,48 +239,34 @@ where
     // Lane 0 runs inline on the calling thread (so `lanes == 1` spawns no
     // threads and accumulates telemetry exactly like `run_platform`);
     // lanes 1.. are scoped workers.
-    let shared = Lanes {
-        slots,
-        queues: CellQueues::new(cells, lanes),
-        barrier: Barrier::new(lanes),
-        cfg: &cell_cfg,
-        spec,
-        end,
-        epoch_us: spec.epoch.as_micros().max(1),
-        failed: AtomicBool::new(false),
-    };
-    let reports: Vec<LaneReport> = std::thread::scope(|s| {
-        let shared = &shared;
+    let next = AtomicUsize::new(0);
+    let lane_runs = std::thread::scope(|s| {
+        let (cfg, inputs, next) = (&cell_cfg, &inputs, &next);
         let workers: Vec<_> = (1..lanes)
-            .map(|lane| {
+            .map(|_| {
                 s.spawn(move || {
-                    let rep = shared.run(lane);
+                    let run = run_lane(cfg, inputs, next);
                     ffs_telemetry::flush_thread();
-                    rep
+                    run
                 })
             })
             .collect();
-        let mut reports = vec![shared.run(0)];
+        let mut runs = vec![run_lane(cfg, inputs, next)];
         for w in workers {
-            reports.push(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            runs.push(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
-        reports
+        runs
     });
 
-    if shared.failed.into_inner() {
-        // The first failure in cell order, as a serial set-up would report.
-        let failure =
-            shared
-                .slots
-                .into_iter()
-                .find_map(|m| match m.into_inner().expect("cell lock") {
-                    CellSlot::Failed(e) => Some(e),
-                    _ => None,
-                });
-        return Err(failure.expect("a cell failed set-up"));
+    let mut lane_busy_secs = Vec::with_capacity(lanes);
+    let mut done = Vec::with_capacity(cells);
+    for (busy, lane_done) in lane_runs {
+        lane_busy_secs.push(busy.as_secs_f64());
+        done.extend(lane_done);
     }
+    done.sort_unstable_by_key(|&(c, _)| c);
 
-    // ---- Concatenate the folded cells (cell order, lane-invariant). ----
+    // ---- Concatenate the cells (cell order, lane-invariant). ----
     let _fold = span(TelemetryPhase::ObsFold);
     let mut output = RunOutput {
         log: RequestLog::new(),
@@ -638,10 +286,8 @@ where
     };
     output.log.reserve(total_invocations);
     let mut events_per_cell = Vec::with_capacity(cells);
-    for (c, slot) in shared.slots.into_iter().enumerate() {
-        let CellSlot::Folded { events, mut out } = slot.into_inner().expect("cell lock") else {
-            unreachable!("cell {c} was not folded")
-        };
+    for (c, result) in done {
+        let (mut out, events) = result?;
         events_per_cell.push(events);
         if c == 0 {
             output.slices_per_gpu = out.slices_per_gpu;
@@ -665,11 +311,10 @@ where
     let stats = ShardRunStats {
         cells,
         lanes,
-        epochs: reports[0].epochs,
-        forwards: reports[0].forwards,
+        epochs: 0,
+        forwards: 0,
         events_per_cell,
-        steals: reports.iter().map(|r| r.steals).sum(),
-        lane_busy_secs: reports.iter().map(|r| r.busy.as_secs_f64()).collect(),
+        lane_busy_secs,
     };
     Ok((output, stats))
 }
@@ -681,75 +326,6 @@ pub fn run_sharded_fluid(
     spec: &ShardSpec,
 ) -> Result<(RunOutput, ShardRunStats), EngineError> {
     run_sharded(cfg, cell_traces, crate::system::paper_policies, spec)
-}
-
-/// The serial boundary exchange (lane 0 only, all lanes parked at the
-/// barrier): publish every cell's backlog census into each cell's
-/// [`ShardView`], forward queued requests of *starving* functions (no
-/// instance anywhere on their home cell) to the least-loaded peer, and
-/// apply the sequenced messages in canonical order. Reads the census each
-/// cell's lane took after the cell's `run_until`. Returns the number of
-/// requests forwarded.
-fn exchange_epoch(
-    slots: &[Mutex<CellSlot>],
-    seq: &mut Sequencer<ShardMsg>,
-    spec: &ShardSpec,
-    now: SimTime,
-) -> u64 {
-    let _sr = span(TelemetryPhase::ShardRoute);
-    let mut guards: Vec<std::sync::MutexGuard<'_, CellSlot>> =
-        slots.iter().map(|m| m.lock().expect("cell lock")).collect();
-    let census: Vec<u64> = guards.iter_mut().map(|g| g.live().backlog).collect();
-    for g in guards.iter_mut() {
-        g.live()
-            .engine
-            .core
-            .shard
-            .peer_backlog
-            .copy_from_slice(&census);
-    }
-    // Forwarding decisions track the census as it changes, so one epoch
-    // cannot dogpile every starving function onto the same peer.
-    let mut backlog = census;
-    for (src, g) in guards.iter_mut().enumerate() {
-        let st = g.live();
-        for f in std::mem::take(&mut st.starving) {
-            let mut dst = src;
-            for (c, &b) in backlog.iter().enumerate() {
-                if c != src && (dst == src || b < backlog[dst]) {
-                    dst = c;
-                }
-            }
-            if dst == src || backlog[dst] >= backlog[src] {
-                continue;
-            }
-            for _ in 0..spec.max_forwards_per_func {
-                let Some(req) = st.engine.core.pending[f].pop_front() else {
-                    break;
-                };
-                let r = &mut st.engine.core.requests[req as usize];
-                r.moved = true;
-                seq.send(
-                    src,
-                    dst,
-                    ShardMsg::Forward {
-                        global_id: st.global_ids[req as usize],
-                        func: f,
-                        arrival: r.arrival,
-                        tenant: r.tenant,
-                    },
-                );
-                backlog[src] -= 1;
-                backlog[dst] += 1;
-            }
-        }
-    }
-    let envelopes = seq.drain_epoch();
-    let n = envelopes.len() as u64;
-    for env in envelopes {
-        guards[env.dst].live().adopt(env.msg, now);
-    }
-    n
 }
 
 /// Pointwise-sums `add` into `into` by bin index (cells share bin width
@@ -841,84 +417,5 @@ impl Fnv {
 
     fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn an_idle_lane_steals_from_the_back_of_its_peers() {
-        // Lane 0's home list is 0, 2, 4; lane 1's is 1, 3.
-        let q = CellQueues::new(5, 2);
-        let order: Vec<_> = std::iter::from_fn(|| q.claim(0)).collect();
-        assert_eq!(
-            order,
-            [(0, false), (2, false), (4, false), (3, true), (1, true)]
-        );
-        assert_eq!(q.claim(1), None);
-        q.rearm();
-        assert_eq!(q.claim(1), Some((1, false)));
-        assert_eq!(q.claim(0), Some((0, false)));
-    }
-
-    /// Lanes race over one phase; lane 0 is slow, so its peers steal.
-    /// Every cell is claimed exactly once, each lane takes its own list
-    /// front first, and thieves take only a suffix of a victim's list.
-    #[test]
-    fn racing_lanes_claim_every_cell_exactly_once() {
-        for (cells, lanes) in [(64, 2), (8, 3), (7, 4), (9, 8)] {
-            let q = CellQueues::new(cells, lanes);
-            let start = Barrier::new(lanes);
-            let claims: Vec<Vec<(usize, bool)>> = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..lanes)
-                    .map(|lane| {
-                        let (q, start) = (&q, &start);
-                        s.spawn(move || {
-                            start.wait();
-                            let mut got = Vec::new();
-                            while let Some(claim) = q.claim(lane) {
-                                got.push(claim);
-                                if lane == 0 {
-                                    std::thread::sleep(Duration::from_micros(200));
-                                }
-                            }
-                            got
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("lane"))
-                    .collect()
-            });
-            let mut seen = vec![0u32; cells];
-            for (lane, got) in claims.iter().enumerate() {
-                let own: Vec<usize> = got.iter().filter(|c| !c.1).map(|c| c.0).collect();
-                // Own claims: the front of this lane's home list, in order.
-                let home: Vec<usize> = (lane..cells).step_by(lanes).collect();
-                assert_eq!(own, home[..own.len()], "lane {lane} of {lanes}");
-                for &(c, stolen) in got {
-                    seen[c] += 1;
-                    assert_eq!(stolen, c % lanes != lane, "cell {c} on lane {lane}");
-                }
-            }
-            assert!(
-                seen.iter().all(|&n| n == 1),
-                "{cells} cells, {lanes} lanes: {seen:?}"
-            );
-            // Whatever a lane did not take itself was stolen off its back.
-            for lane in 0..lanes {
-                let taken = claims[lane].iter().filter(|c| !c.1).count();
-                let home_len = (lane..cells).step_by(lanes).count();
-                let stolen = claims
-                    .iter()
-                    .flatten()
-                    .filter(|c| c.1 && c.0 % lanes == lane)
-                    .count();
-                assert_eq!(taken + stolen, home_len);
-            }
-        }
     }
 }

@@ -1,23 +1,25 @@
 //! The sharded engine's determinism contract: `RunOutput` is a pure
 //! function of `(trace, config, seed)` and the cell partition — never of
-//! the lane (worker-thread) count — and a 1-cell sharded run reproduces
-//! `run_platform` byte-for-byte.
+//! the lane (worker-thread) count — and every cell of a sharded run
+//! reproduces `run_platform` on that cell's slice of the fleet and trace
+//! byte-for-byte.
 //!
 //! Digests come from [`fluidfaas::run_output_digest`], which folds every
 //! request record (floats as raw bit patterns), the cost report, and all
 //! three utilization curves, so even sub-ulp divergence fails.
 
+use ffs_metrics::RequestLog;
 use ffs_trace::{
-    partition_trace, AzureTraceConfig, Invocation, ScaleTraceConfig, Trace, WorkloadClass,
+    partition_trace, AzureTraceConfig, CellTrace, Invocation, ScaleTraceConfig, Trace,
+    WorkloadClass,
 };
 use fluidfaas::platform::run_platform;
 use fluidfaas::{
     paper_policies, run_output_digest, run_sharded_fluid, Engine, FfsConfig, ShardSpec,
 };
 
-/// A 1-cell sharded run is the solo engine with extra steps — the epoch
-/// loop must telescope into one `run_until` and reproduce `run_platform`
-/// exactly.
+/// A 1-cell sharded run is the solo engine with extra steps, and must
+/// reproduce `run_platform` exactly.
 #[test]
 fn one_cell_run_matches_run_platform() {
     for workload in [WorkloadClass::Light, WorkloadClass::Medium] {
@@ -30,7 +32,6 @@ fn one_cell_run_matches_run_platform() {
             run_sharded_fluid(&cfg, partition_trace(&trace, 1), &ShardSpec::new(1, 1))
                 .expect("1-cell run");
         assert_eq!(stats.cells, 1);
-        assert!(stats.epochs >= 1);
         assert_eq!(
             run_output_digest(&solo),
             run_output_digest(&sharded),
@@ -68,7 +69,7 @@ fn lane_count_never_changes_output() {
 
 /// Same property over randomized multi-tenant scale traces: several
 /// seeds, 1/2/3/4/8 lanes each, one digest per seed. Three lanes over four
-/// cells gives unequal home lists, so lanes steal.
+/// cells leave one lane a cell more than the others.
 #[test]
 fn lane_count_never_changes_output_on_random_scale_traces() {
     let mut cfg = FfsConfig::paper_default(WorkloadClass::Medium);
@@ -112,13 +113,12 @@ fn repeated_sharded_runs_agree() {
     assert_eq!(digest(0), digest(1));
 }
 
-/// Multi-cell sharded runs against digests recorded before the engine's
-/// batch dispatch was collapsed to one per-event loop. Cells call
-/// `run_until` on the engine directly (there is no platform wrapper in
-/// between), so these pin the sharded path's output across refactors of
-/// the event loop, not just its lane invariance. The overload case fires
-/// same-timestamp arrival bursts and cross-cell forwards. Three lanes give
-/// unequal home lists (and steals); eight exceed the cell count.
+/// Multi-cell sharded runs against pinned digests, so the sharded path's
+/// output is held across refactors of the event loop, not just its lane
+/// invariance. The medium digest dates from before the engine's batch
+/// dispatch was collapsed to one per-event loop. The overload case fires
+/// same-timestamp arrival bursts into one cell while the other idles.
+/// Three lanes leave one lane a cell short; eight exceed the cell count.
 #[test]
 fn multi_cell_runs_match_golden_digests() {
     let mut medium = FfsConfig::paper_default(WorkloadClass::Medium);
@@ -129,7 +129,7 @@ fn multi_cell_runs_match_golden_digests() {
     let (overload, overload_cells) = overload_traces(48);
     let cases = [
         (&medium, medium_cells, 0xa393_f10d_6934_e285_u64),
-        (&overload, overload_cells, 0xbe66_9cc9_aaa0_bbdf),
+        (&overload, overload_cells, 0xf04a_0b9e_2741_cab9),
     ];
     for (cfg, cells, golden) in cases {
         let n = cells.len();
@@ -147,16 +147,17 @@ fn multi_cell_runs_match_golden_digests() {
     }
 }
 
-/// Builds a two-cell scenario that actually forwards: cell 0 gets a
-/// blast of every app at once on a single tiny node (not every function
-/// can hold an instance, so some starve with queued work), while cell 1
-/// idles with identical free capacity.
-fn overload_traces(per_app: usize) -> (FfsConfig, Vec<ffs_trace::CellTrace>) {
+/// Builds a two-cell overload scenario: cell 0 gets a blast of every app
+/// at once on a single tiny node (not every function can hold an
+/// instance, so some starve with queued work), while cell 1 idles with
+/// identical free capacity. Cells run independently, so the idle cell
+/// never takes any of that work.
+fn overload_traces(per_app: usize) -> (FfsConfig, Vec<CellTrace>) {
     let mut cfg = FfsConfig::paper_default(WorkloadClass::Medium);
     cfg.nodes = 2;
     cfg.gpus_per_node = 1;
     // No time-sharing slot to fall back on: a backlogged function with no
-    // exclusive instance is starving, which is what the exchange forwards.
+    // exclusive instance starves.
     cfg.enable_time_sharing = false;
     let apps = WorkloadClass::Medium.apps();
     let duration = ffs_sim::SimDuration::from_secs(12);
@@ -167,7 +168,7 @@ fn overload_traces(per_app: usize) -> (FfsConfig, Vec<ffs_trace::CellTrace>) {
                 id: invocations.len() as u64,
                 app,
                 // One burst per second so later waves still find cell 0
-                // saturated after the first epoch exchange.
+                // saturated.
                 arrival: ffs_sim::SimTime::from_secs_f64(0.25 + (k % 8) as f64),
                 tenant: app.index() as u32,
             });
@@ -186,11 +187,11 @@ fn overload_traces(per_app: usize) -> (FfsConfig, Vec<ffs_trace::CellTrace>) {
         duration,
     };
     let cells = vec![
-        ffs_trace::CellTrace {
+        CellTrace {
             global_ids: (0..busy.len() as u64).collect(),
             trace: busy,
         },
-        ffs_trace::CellTrace {
+        CellTrace {
             global_ids: Vec::new(),
             trace: idle,
         },
@@ -198,33 +199,67 @@ fn overload_traces(per_app: usize) -> (FfsConfig, Vec<ffs_trace::CellTrace>) {
     (cfg, cells)
 }
 
-/// Cross-cell forwarding fires under overload, conserves every request
-/// (a moved request is logged exactly once, at its adopter), and stays
-/// lane-invariant.
+/// A request record with its breakdown, every f64 as its bit pattern.
+type Row = (u64, u32, u64, Option<u64>, u64, u32, [u64; 4]);
+
+fn rows(log: &RequestLog) -> Vec<Row> {
+    log.records_with_breakdowns()
+        .map(|(r, b)| {
+            (
+                r.id,
+                r.app_index,
+                r.arrival.as_micros(),
+                r.completed.map(|t| t.as_micros()),
+                r.slo_ms.to_bits(),
+                r.tenant,
+                [b.queue_ms, b.load_ms, b.exec_ms, b.transfer_ms].map(f64::to_bits),
+            )
+        })
+        .collect()
+}
+
+/// Cells are independent runs: each cell's slice of a multi-cell run's
+/// log equals that cell's trace run alone through `run_platform` on
+/// `nodes / cells` nodes, with ids mapped to global ids. Every request is
+/// logged exactly once, under a unique global id.
 #[test]
-fn forwarding_fires_and_conserves_requests() {
-    let (cfg, cell_traces) = overload_traces(48);
-    let total: usize = cell_traces.iter().map(|ct| ct.trace.len()).sum();
-    let mut digests = Vec::new();
-    for lanes in [1usize, 2] {
-        let (out, stats) = run_sharded_fluid(&cfg, cell_traces.clone(), &ShardSpec::new(2, lanes))
-            .expect("overload run");
-        assert!(
-            stats.forwards > 0,
-            "the overloaded cell must forward starving work (lanes {lanes})"
-        );
-        assert_eq!(
-            out.log.len(),
-            total,
-            "forwarding must conserve requests (lanes {lanes})"
-        );
-        // Global ids must stay unique after the moved requests re-log at
-        // their adopting cell.
+fn each_cell_matches_its_solo_run() {
+    let mut medium = FfsConfig::paper_default(WorkloadClass::Medium);
+    medium.nodes = 4;
+    medium.gpus_per_node = 4;
+    let trace = AzureTraceConfig::for_workload(WorkloadClass::Medium, 20.0, 6).generate();
+    let (overload, overload_cells) = overload_traces(48);
+    for (cfg, cells) in [
+        (&medium, partition_trace(&trace, 4)),
+        (&overload, overload_cells),
+    ] {
+        let n = cells.len();
+        let total: usize = cells.iter().map(|ct| ct.trace.len()).sum();
+        let (out, _) =
+            run_sharded_fluid(cfg, cells.clone(), &ShardSpec::new(n, 2)).expect("sharded run");
+        assert_eq!(out.log.len(), total, "every request must be logged once");
         let mut ids: Vec<u64> = out.log.records().iter().map(|r| r.id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), total, "duplicate ids after forwarding");
-        digests.push(run_output_digest(&out));
+        assert_eq!(ids.len(), total, "duplicate global ids");
+
+        let mut cell_cfg = cfg.clone();
+        cell_cfg.nodes = cfg.nodes / n;
+        let got = rows(&out.log);
+        let mut at = 0;
+        for (c, ct) in cells.iter().enumerate() {
+            let mut engine = Engine::new(cell_cfg.clone(), paper_policies(&cell_cfg), &ct.trace)
+                .expect("valid cell setup");
+            let mut solo = run_platform(&mut engine, &ct.trace).log;
+            solo.remap_ids(|id| ct.global_ids[id as usize]);
+            let want = rows(&solo);
+            assert_eq!(
+                got[at..at + want.len()],
+                want[..],
+                "cell {c} of {n} diverged from its solo run"
+            );
+            at += want.len();
+        }
+        assert_eq!(at, got.len());
     }
-    assert_eq!(digests[0], digests[1], "forwarding broke lane invariance");
 }

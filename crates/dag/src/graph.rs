@@ -4,7 +4,6 @@
 //! computation flow *within* a serverless function, not the task DAGs
 //! *among* functions that other serverless systems schedule.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a component (node) within one FFS DAG.
@@ -12,7 +11,7 @@ use std::fmt;
 /// Ids are dense indices in registration order, which is always a
 /// topological order because a component can only name already-registered
 /// components as inputs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -27,7 +26,7 @@ impl NodeId {
 /// `work` is an abstract compute cost: the component's execution time in
 /// milliseconds on a single GPC at batch size 1. The performance model in
 /// `ffs-profile` scales it to concrete MIG slices and batch sizes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Component {
     /// Human-readable component name (e.g. `"super_resolution"`).
     pub name: String,
@@ -90,7 +89,7 @@ impl fmt::Display for DagError {
 impl std::error::Error for DagError {}
 
 /// The FFS DAG of one FluidFaaS function.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FfsDag {
     name: String,
     components: Vec<Component>,

@@ -7,13 +7,11 @@
 //! pipeline. At launch, the invoker walks the ranked list and deploys the
 //! first partition the currently free MIG slices can host.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{FfsDag, NodeId};
 
 /// A concrete pipeline partition: an ordered list of stages, each holding
 /// the DAG nodes it executes.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PipelinePartition {
     stages: Vec<Vec<NodeId>>,
 }

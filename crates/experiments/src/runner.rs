@@ -4,9 +4,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ffs_baselines::{baseline_policies, BaselineKind};
-use ffs_trace::{partition_trace, AzureTraceConfig, Trace, WorkloadClass};
+use ffs_trace::{AzureTraceConfig, Trace, WorkloadClass};
 use fluidfaas::platform::runner::{run_platform, RunOutput};
-use fluidfaas::{paper_policies, run_sharded_fluid, Engine, FfsConfig, PolicyBundle, ShardSpec};
+use fluidfaas::{paper_policies, Engine, FfsConfig, PolicyBundle};
 
 /// Key of one generated trace: workload, duration bits, seed, and whether
 /// it is the saturating (steady) variant.
@@ -85,11 +85,6 @@ impl SystemKind {
 /// recorder and exports its JSONL + Chrome trace artifacts on completion.
 pub fn run_system(kind: SystemKind, cfg: FfsConfig, trace: &Trace) -> RunOutput {
     let _trace = crate::trace_out::RunTrace::begin(kind.name());
-    if kind == SystemKind::FluidFaaS && trace.invocations.len() >= shard_threshold() {
-        if let Some(out) = run_fluid_sharded(&cfg, trace) {
-            return out;
-        }
-    }
     let policies = kind.policies(&cfg);
     run_engine(kind, cfg, policies, trace)
 }
@@ -104,42 +99,6 @@ fn run_engine(
     let mut engine = Engine::new(cfg, policies, trace)
         .unwrap_or_else(|e| panic!("invalid {} setup: {e}", kind.name()));
     run_platform(&mut engine, trace)
-}
-
-/// Invocation count at which [`run_system`] opts a FluidFaaS run into the
-/// sharded engine (`FFS_SHARD_THRESHOLD`, default 1,000,000). A sharded
-/// run partitions the fleet into cells and forwards overflow between them
-/// at epoch boundaries, so its output is lane-invariant but *not* equal
-/// to the single-engine run of the same trace — the default threshold
-/// therefore sits two orders of magnitude above the largest paper trace,
-/// keeping every figure/golden on the sequential path unless a user
-/// explicitly lowers it.
-pub fn shard_threshold() -> usize {
-    crate::parallel::parse_env_or_warn("FFS_SHARD_THRESHOLD", "a positive integer", |&n: &usize| {
-        n >= 1
-    })
-    .unwrap_or(1_000_000)
-}
-
-/// Routes an oversized FluidFaaS run through the sharded engine on
-/// [`crate::parallel::shards`] lanes. Cells = the largest divisor of
-/// `cfg.nodes` that is ≤ the lane count (so `cfg.nodes % cells == 0` and
-/// no lane idles by construction). Returns `None` when the fleet cannot
-/// be split (fewer than two cells) so the caller falls back to the
-/// sequential engine.
-fn run_fluid_sharded(cfg: &FfsConfig, trace: &Trace) -> Option<RunOutput> {
-    let lanes = crate::parallel::shards();
-    let cells = (1..=cfg.nodes.min(lanes))
-        .rev()
-        .find(|&c| cfg.nodes.is_multiple_of(c))
-        .unwrap_or(1);
-    if cells < 2 {
-        return None;
-    }
-    let cell_traces = partition_trace(trace, cells);
-    let spec = ShardSpec::new(cells, lanes);
-    let (out, _stats) = run_sharded_fluid(cfg, cell_traces, &spec).ok()?;
-    Some(out)
 }
 
 /// Runs the FluidFaaS engine with an explicit policy bundle (the ablation

@@ -7,8 +7,8 @@
 //! single lane and on `FFS_SHARDS` lanes, [`REPEATS`] times each —
 //! cross-checking that every run produces the same
 //! [`fluidfaas::run_output_digest`]. Rows report the median repeat's
-//! runs/s and events/s, peak RSS, forwarding volume, per-cell events
-//! (imbalance, min/median/max), steals and the lanes' busy share;
+//! runs/s and events/s, peak RSS, per-cell events (imbalance,
+//! min/median/max) and the lanes' busy share;
 //! `exp_scale` writes them to `BENCH_scale.json` under the `"scale"` key.
 //!
 //! Knobs: `FFS_SCALE_GPUS` (comma-separated fleet sizes, default
@@ -63,8 +63,6 @@ pub struct ScaleRow {
     pub invocations: u64,
     /// Simulation events executed across all cells.
     pub events: u64,
-    /// Requests forwarded between cells at epoch boundaries.
-    pub forwards: u64,
     /// Wall-clock seconds of the median of the [`REPEATS`] runs (excludes
     /// trace synthesis).
     pub wall_secs: f64,
@@ -72,10 +70,8 @@ pub struct ScaleRow {
     pub imbalance: f64,
     /// Per-cell executed events: minimum, median and maximum.
     pub cell_events: [u64; 3],
-    /// Cells lanes stole from each other's home lists (median run).
-    pub steals: u64,
-    /// Share of the median run's lane-seconds the lanes spent working
-    /// cells rather than waiting at barriers or on the serial exchange.
+    /// Share of the median run's lane-seconds the lanes spent running
+    /// cells rather than idle once no cell was left to claim.
     pub busy_share: f64,
     /// Process peak RSS in kB after the run (`VmHWM`; 0 off Linux).
     pub peak_rss_kb: u64,
@@ -252,7 +248,6 @@ pub fn run_point(
             functions,
             invocations,
             events: stats.events_total(),
-            forwards: stats.forwards,
             wall_secs: *wall_secs,
             imbalance: stats.imbalance(),
             cell_events: [
@@ -260,7 +255,6 @@ pub fn run_point(
                 per_cell.get(per_cell.len() / 2).copied().unwrap_or(0),
                 per_cell.last().copied().unwrap_or(0),
             ],
-            steals: stats.steals,
             busy_share: if *wall_secs > 0.0 {
                 busy / (stats.lanes as f64 * wall_secs)
             } else {
@@ -305,8 +299,8 @@ pub struct MulticoreSummary {
 /// (minimum 2 so the probe always exercises real parallelism), each the
 /// median of [`REPEATS`] runs.
 /// The fleet is sized so the single-lane arm takes several hundred
-/// milliseconds — long enough that lane spawn cost, epoch barriers and
-/// timer granularity don't swamp the measurement. Both arms replay the
+/// milliseconds — long enough that lane spawn cost and timer granularity
+/// don't swamp the measurement. Both arms replay the
 /// identical trace and must produce the same digest.
 pub fn multicore_probe(seed: u64) -> MulticoreSummary {
     let lanes = crate::parallel::shards().max(2);
@@ -357,7 +351,7 @@ pub fn run_sweep(secs: f64, seed: u64) -> ScaleSummary {
 pub fn render(summary: &ScaleSummary) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "  {:>6} {:>6} {:>6} {:>8} {:>10} {:>12} {:>11} {:>9} {:>7} {:>23} {:>7} {:>6} {:>9} {:>10}  {}\n",
+        "  {:>6} {:>6} {:>6} {:>8} {:>10} {:>12} {:>11} {:>9} {:>7} {:>23} {:>6} {:>10}  {}\n",
         "gpus",
         "cells",
         "lanes",
@@ -368,16 +362,14 @@ pub fn render(summary: &ScaleSummary) -> String {
         "wall_s",
         "imbal",
         "cell_events min/med/max",
-        "steals",
         "busy",
-        "forwards",
         "rss_mb",
         "digest"
     ));
     for r in &summary.rows {
         let [min, median, max] = r.cell_events;
         out.push_str(&format!(
-            "  {:>6} {:>6} {:>6} {:>8} {:>10} {:>12} {:>11.0} {:>9.3} {:>7.2} {:>23} {:>7} {:>6.2} {:>9} {:>10.1}  {:016x}\n",
+            "  {:>6} {:>6} {:>6} {:>8} {:>10} {:>12} {:>11.0} {:>9.3} {:>7.2} {:>23} {:>6.2} {:>10.1}  {:016x}\n",
             r.gpus,
             r.cells,
             r.lanes,
@@ -388,9 +380,7 @@ pub fn render(summary: &ScaleSummary) -> String {
             r.wall_secs,
             r.imbalance,
             format!("{min}/{median}/{max}"),
-            r.steals,
             r.busy_share,
-            r.forwards,
             r.peak_rss_kb as f64 / 1024.0,
             r.digest,
         ));
@@ -424,7 +414,6 @@ mod tests {
         assert!(rows[0].invocations > 0);
         let [min, median, max] = rows[0].cell_events;
         assert!(min <= median && median <= max && max > 0);
-        assert_eq!(rows[0].steals, 0, "one lane has nobody to steal from");
         for r in &rows {
             assert!(
                 r.busy_share > 0.0 && r.busy_share <= 1.0 + 1e-9,

@@ -8,8 +8,6 @@
 //! `f64` latencies with `total_cmp`. [`LatencyCdf::new`] stays for
 //! arbitrary `f64` samples.
 
-use serde::{Deserialize, Serialize};
-
 use crate::record::micros_to_ms;
 
 /// Bits of key consumed per radix pass: 2,048 buckets, whose counts fit
@@ -55,7 +53,7 @@ fn radix_sort(keys: &mut Vec<u64>) {
 }
 
 /// An empirical latency distribution.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LatencyCdf {
     sorted_ms: Vec<f64>,
 }

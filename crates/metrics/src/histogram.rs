@@ -6,13 +6,11 @@
 //! (~5% relative width), giving percentile estimates within one bucket
 //! width — plenty for SLO accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative width of each bucket (5%).
 const GROWTH: f64 = 1.05;
 
 /// A fixed-memory log-bucketed histogram of non-negative values.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LogHistogram {
     /// Smallest value resolvable; everything below lands in bucket 0.
     floor: f64,

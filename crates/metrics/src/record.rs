@@ -1,11 +1,9 @@
 //! Per-request lifecycle records and aggregate SLO / throughput metrics.
 
-use serde::{Deserialize, Serialize};
-
 use ffs_sim::{SimDuration, SimTime};
 
 /// Where a request's end-to-end latency went (Figure 14's breakdown).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Breakdown {
     /// Waiting in queues (controller, load balancer, instance, stage).
     pub queue_ms: f64,
@@ -38,7 +36,7 @@ pub(crate) fn micros_to_ms(us: u64) -> f64 {
 /// in 48 bytes. Its latency [`Breakdown`] is not inline: the
 /// [`RequestLog`] keeps breakdowns in a column of their own, for completed
 /// records only (see [`RequestLog::records_with_breakdowns`]).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RequestRecord {
     /// Trace-wide request id.
     pub id: u64,
@@ -51,9 +49,7 @@ pub struct RequestRecord {
     pub slo_ms: f64,
     /// Index of the application (paper's App 0–3).
     pub app_index: u32,
-    /// Owning tenant (fairness accounting). Defaults to 0 when absent,
-    /// so pre-tenant serialized logs still deserialize.
-    #[serde(default)]
+    /// Owning tenant (fairness accounting).
     pub tenant: u32,
 }
 
@@ -87,7 +83,7 @@ impl RequestRecord {
 /// abandoned request's breakdown is always zero, so it is not stored, and
 /// the two push methods keep "abandoned with a breakdown" unwritable.
 /// [`RequestLog::records_with_breakdowns`] pairs the two back up.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RequestLog {
     records: Vec<RequestRecord>,
     breakdowns: Vec<Breakdown>,

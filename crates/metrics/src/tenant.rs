@@ -9,8 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use ffs_sim::SimDuration;
 
 use crate::cdf::LatencyCdf;
@@ -35,7 +33,7 @@ pub fn jain_index(allocations: &[f64]) -> f64 {
 }
 
 /// Fairness-relevant aggregates for one tenant.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantStats {
     /// The tenant id.
     pub tenant: u32,
@@ -56,7 +54,7 @@ pub struct TenantStats {
 }
 
 /// Per-tenant view of one run's request log.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantReport {
     /// One row per tenant, ascending by tenant id.
     pub tenants: Vec<TenantStats>,

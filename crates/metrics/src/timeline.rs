@@ -1,12 +1,10 @@
 //! Binned time series for utilization plots (Figures 3 and 16).
 
-use serde::{Deserialize, Serialize};
-
 use ffs_sim::{SimDuration, SimTime};
 
 /// A fixed-bin time series: values recorded at instants are averaged per
 /// bin, yielding the per-second utilization curves of the paper's figures.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BinnedSeries {
     bin: SimDuration,
     sums: Vec<f64>,

@@ -1,19 +1,17 @@
 //! Nodes and fleets of MIG-partitioned GPUs, with the paper's partition
 //! schemes (Table 7) and allocation queries used by the schedulers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MigError;
 use crate::gpu::{Gpu, GpuId, SliceId};
 use crate::placement::PartitionLayout;
 use crate::profile::SliceProfile;
 
 /// Identifier of an invoker node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
 
 /// How the GPUs of a fleet are partitioned (paper Table 7).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum PartitionScheme {
     /// Every GPU uses the same layout.
     Uniform(PartitionLayout),
@@ -69,7 +67,7 @@ impl PartitionScheme {
 }
 
 /// An invoker node hosting several GPUs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Node {
     /// The node's identifier.
     pub id: NodeId,
@@ -84,7 +82,7 @@ impl Node {
 }
 
 /// A fleet of nodes (the paper's testbed has 2 nodes x 8 A100s).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fleet {
     nodes: Vec<Node>,
     gpus_per_node: usize,

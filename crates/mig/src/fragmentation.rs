@@ -6,12 +6,10 @@
 //! enough GPCs. This module quantifies that condition, both for a single
 //! demand and as an aggregate fleet metric.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fleet::Fleet;
 
 /// How a fleet can serve a monolithic demand of `mem_gb` / `gpcs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Placeability {
     /// Some free slice satisfies the demand directly.
     Placeable,
@@ -42,7 +40,7 @@ pub fn classify_demand(fleet: &Fleet, mem_gb: f64, gpcs: u32) -> Placeability {
 }
 
 /// Fleet-level fragmentation snapshot.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FragmentationReport {
     /// Total free GPCs.
     pub free_gpcs: u32,

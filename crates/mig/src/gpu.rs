@@ -1,18 +1,16 @@
 //! A single GPU partitioned into allocatable MIG slices.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MigError;
 use crate::placement::PartitionLayout;
 use crate::profile::SliceProfile;
 
 /// Identifier of a GPU within a fleet (global index).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GpuId(pub u16);
 
 /// Identifier of a MIG slice: a GPU plus the slice's index within the GPU's
 /// current partition layout.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SliceId {
     /// The GPU hosting the slice.
     pub gpu: GpuId,
@@ -28,7 +26,7 @@ impl SliceId {
 }
 
 /// One MIG slice: a profile at a placement, plus allocation state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MigSlice {
     /// The slice's identifier.
     pub id: SliceId,
@@ -59,7 +57,7 @@ impl MigSlice {
 pub const RECONFIGURE_SECS: u64 = 180;
 
 /// A GPU in MIG mode with a fixed partition layout.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Gpu {
     /// The GPU's identifier.
     pub id: GpuId,

@@ -10,8 +10,6 @@
 //! reproduces the paper's claim that "there are only 18 MIG configurations
 //! on an A100 GPU".
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MigError;
 use crate::profile::SliceProfile;
 
@@ -21,7 +19,7 @@ pub const PLACEMENT_UNITS: u8 = 8;
 pub const COMPUTE_GPCS: u32 = 7;
 
 /// One slice placed at a concrete placement-unit position.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Placement {
     /// First placement unit occupied (0-based).
     pub start: u8,
@@ -51,7 +49,7 @@ impl Placement {
 }
 
 /// A partition of one GPU into MIG slices, as a set of placements.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PartitionLayout {
     placements: Vec<Placement>,
 }

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A MIG slice profile on an A100-80GB GPU.
 ///
 /// The names follow NVIDIA's `<gpcs>g.<memory>gb` convention. The paper's
 /// Table 2 lists the same five profiles together with the maximum number of
 /// co-resident slices of each kind.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SliceProfile {
     /// `1g.10gb`: 1 GPC, 10 GB.
     G1_10,

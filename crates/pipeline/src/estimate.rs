@@ -5,14 +5,12 @@
 //! overhead), its bottleneck service time (which bounds throughput), and
 //! therefore how many requests per second it can absorb while meeting SLOs.
 
-use serde::{Deserialize, Serialize};
-
 use ffs_profile::FunctionProfile;
 
 use crate::plan::DeploymentPlan;
 
 /// Performance estimate for a deployed instance.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InstanceEstimate {
     /// Unloaded end-to-end latency (ms): stage execution plus boundary
     /// transfers (pipelines) or in-process handoffs (monolithic).

@@ -1,14 +1,12 @@
 //! Planning: from ranked partitions + free slices to a deployable plan.
 
-use serde::{Deserialize, Serialize};
-
 use ffs_dag::{NodeId, PipelinePartition};
 use ffs_mig::fleet::FreeSlice;
 use ffs_mig::{SliceId, SliceProfile};
 use ffs_profile::FunctionProfile;
 
 /// One stage of a planned deployment: which components run on which slice.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StagePlan {
     /// The DAG nodes executed by this stage, in topological order.
     pub nodes: Vec<NodeId>,
@@ -23,7 +21,7 @@ pub struct StagePlan {
 /// A deployable instance configuration: the partition plus its
 /// stage-to-slice assignment. A single-stage plan is a conventional
 /// (non-pipelined) deployment.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeploymentPlan {
     /// The chosen partition.
     pub partition: PipelinePartition,

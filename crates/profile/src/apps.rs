@@ -1,14 +1,12 @@
 //! The four applications of the paper's Table 4, in the small / medium /
 //! large variants of Table 5.
 
-use serde::{Deserialize, Serialize};
-
 use ffs_dag::{FfsDag, NodeId};
 
 use crate::zoo::ComponentKind;
 
 /// The paper's applications (Table 4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum App {
     /// App 0: super resolution → segmentation → classification.
     ImageClassification,
@@ -29,7 +27,7 @@ pub enum App {
 }
 
 /// Application variant (Table 5): memory requirement and batch size.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Variant {
     /// Small batch / resolution.
     Small,

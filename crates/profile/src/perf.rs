@@ -8,10 +8,8 @@
 //! boundaries cost 10–40 ms through host shared memory while the baseline's
 //! in-process handoff costs 1–5 ms.
 
-use serde::{Deserialize, Serialize};
-
 /// Analytic cost model for DNN inference on MIG slices.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PerfModel {
     /// Amdahl serial fraction of a DNN inference: the part that does not
     /// speed up with more GPCs (kernel launch, memory-bound layers).

@@ -6,8 +6,6 @@
 //! CV-ranked pipeline partitions — all offline, so the invoker's launch
 //! path only does table lookups.
 
-use serde::{Deserialize, Serialize};
-
 use ffs_dag::{
     linear_blocks, try_rank_partitions, FfsDag, NodeId, PartitionError, PipelinePartition,
     RankedPartition,
@@ -18,7 +16,7 @@ use crate::apps::{App, Variant};
 use crate::perf::PerfModel;
 
 /// Offline profile of one FluidFaaS function (one app-variant).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FunctionProfile {
     /// The function name (`"<app>_<variant>"`).
     pub name: String,

@@ -9,12 +9,10 @@
 //! through the boundary per sample, so per-request transfer cost is
 //! dominated by single-sample tensors (keeping the paper's 10–40 ms total).
 
-use serde::{Deserialize, Serialize};
-
 use ffs_dag::Component;
 
 /// The DNN components used by the paper's applications.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ComponentKind {
     /// SRGAN photo-realistic super resolution.
     SuperResolution,

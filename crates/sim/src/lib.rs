@@ -45,7 +45,6 @@
 pub mod engine;
 pub mod queueing;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
@@ -54,6 +53,5 @@ pub use engine::{
     StopReason, World,
 };
 pub use rng::SimRng;
-pub use shard::{Envelope, Sequencer};
 pub use stats::{OnlineStats, TimeWeightedMean};
 pub use time::{SimDuration, SimTime};

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use crate::clock;
 
 /// Number of phases in the fixed alphabet.
-pub const PHASE_COUNT: usize = 14;
+pub const PHASE_COUNT: usize = 12;
 
 /// Deepest span nesting the path encoding can represent.
 const MAX_DEPTH: usize = 8;
@@ -70,18 +70,12 @@ pub enum Phase {
     ObsFold = 8,
     /// Everything else inside a harness run (the per-run root span).
     RunOther = 9,
-    /// Cross-shard routing at an epoch boundary: backlog census, starving
-    /// function scan, message sequencing, adoption into peer shards.
-    ShardRoute = 10,
-    /// Waiting at the lock-step epoch barrier for peer lanes to finish
-    /// their shards' epoch (pure synchronization time, no work).
-    EpochBarrier = 11,
     /// Maintaining the per-function admissible-instance routing index at
     /// slab mutation points (admit, stage finish, phase transitions).
-    RouteIndexMaint = 12,
+    RouteIndexMaint = 10,
     /// MQFQ virtual-time maintenance: advancing the global virtual clock
     /// over the backlogged flows before a fair-queueing dispatch.
-    VtUpdate = 13,
+    VtUpdate = 11,
 }
 
 impl Phase {
@@ -97,8 +91,6 @@ impl Phase {
         Phase::AutoscalerTick,
         Phase::ObsFold,
         Phase::RunOther,
-        Phase::ShardRoute,
-        Phase::EpochBarrier,
         Phase::RouteIndexMaint,
         Phase::VtUpdate,
     ];
@@ -117,8 +109,6 @@ impl Phase {
             Phase::AutoscalerTick => "autoscaler_tick",
             Phase::ObsFold => "obs_fold",
             Phase::RunOther => "run_other",
-            Phase::ShardRoute => "shard_route",
-            Phase::EpochBarrier => "epoch_barrier",
             Phase::RouteIndexMaint => "route_index_maint",
             Phase::VtUpdate => "vt_update",
         }

@@ -59,8 +59,6 @@ ffs_phase_self_cycles_total{phase=\"policy_call\"} 0
 ffs_phase_self_cycles_total{phase=\"autoscaler_tick\"} 0
 ffs_phase_self_cycles_total{phase=\"obs_fold\"} 0
 ffs_phase_self_cycles_total{phase=\"run_other\"} 0
-ffs_phase_self_cycles_total{phase=\"shard_route\"} 0
-ffs_phase_self_cycles_total{phase=\"epoch_barrier\"} 0
 ffs_phase_self_cycles_total{phase=\"route_index_maint\"} 0
 ffs_phase_self_cycles_total{phase=\"vt_update\"} 0
 # HELP ffs_phase_calls_total Completed spans per engine phase
@@ -75,8 +73,6 @@ ffs_phase_calls_total{phase=\"policy_call\"} 0
 ffs_phase_calls_total{phase=\"autoscaler_tick\"} 0
 ffs_phase_calls_total{phase=\"obs_fold\"} 0
 ffs_phase_calls_total{phase=\"run_other\"} 0
-ffs_phase_calls_total{phase=\"shard_route\"} 0
-ffs_phase_calls_total{phase=\"epoch_barrier\"} 0
 ffs_phase_calls_total{phase=\"route_index_maint\"} 0
 ffs_phase_calls_total{phase=\"vt_update\"} 0
 # HELP ffs_phase_depth_overflows_total Spans dropped for nesting deeper than the profiler tracks

@@ -7,15 +7,13 @@
 //! multiplying the base rate) under a sinusoidal diurnal envelope, sampled
 //! by thinning. The result is deterministic per seed.
 
-use serde::{Deserialize, Serialize};
-
 use ffs_profile::App;
 use ffs_sim::{SimDuration, SimRng, SimTime};
 
 use crate::workload::{Invocation, WorkloadClass};
 
 /// Configuration of the synthetic trace generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AzureTraceConfig {
     /// Applications to generate arrivals for.
     pub apps: Vec<App>,
@@ -161,7 +159,7 @@ impl AzureTraceConfig {
 }
 
 /// A generated invocation trace, sorted by arrival time.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Trace {
     /// The invocations, sorted by arrival, with dense ids.
     pub invocations: Vec<Invocation>,

@@ -1,13 +1,11 @@
 //! Workload classes and invocation records.
 
-use serde::{Deserialize, Serialize};
-
 use ffs_profile::{App, Variant};
 use ffs_sim::SimTime;
 
 /// The paper's three workloads (§6): each application runs in its small,
 /// medium, or large variant respectively.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// All apps in their small variants.
     Light,
@@ -69,7 +67,7 @@ impl WorkloadClass {
 }
 
 /// One function invocation in a trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Invocation {
     /// Unique request id within the trace.
     pub id: u64,
@@ -79,9 +77,7 @@ pub struct Invocation {
     pub arrival: SimTime,
     /// Owning tenant (billing/fairness entity). Synthetic generators
     /// default it to the application index; multi-tenant scenarios
-    /// assign it explicitly. Absent in pre-tenant serialized traces,
-    /// hence the serde default.
-    #[serde(default)]
+    /// assign it explicitly.
     pub tenant: u32,
 }
 
