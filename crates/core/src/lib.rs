@@ -23,7 +23,7 @@
 //! baselines (`ffs-baselines`): request bookkeeping, the function catalog,
 //! the metrics hub, the trace runner, and the policy-driven event-loop
 //! engine ([`platform::engine`]) that every platform — FluidFaaS, the
-//! baselines, MQFQ-Sticky and the ablation arms — runs on. A platform is
+//! baselines and the ablation arms — runs on. A platform is
 //! a [`platform::policy::PolicyBundle`] (router, shared-pool policy,
 //! autoscaler, migrator, placer) handed to [`Engine::new`]; see
 //! `docs/ARCHITECTURE.md` for the layering and how to add a policy.
@@ -55,7 +55,6 @@ pub use chaos::{ChaosState, FaultSpec, FaultTarget};
 pub use config::{FfsConfig, ScalingPolicy};
 pub use keepalive::{KeepAliveState, Transition};
 pub use platform::engine::{Engine, EngineCore, EngineError};
-pub use platform::mqfq::{mqfq_policies, mqfq_policies_with, MqfqParams, MqfqState};
 pub use platform::policy::PolicyBundle;
 pub use platform::sharded::{
     run_output_digest, run_sharded, run_sharded_fluid, ShardRunStats, ShardSpec,

@@ -9,8 +9,8 @@
 //! every event is handled once here, and each *decision* (routing,
 //! overflow, scaling, eviction, migration) is delegated to the bundle.
 //!
-//! Every platform — FluidFaaS, the ESG / INFless baselines, MQFQ-Sticky
-//! and the ablation arms — is this engine built with a different bundle
+//! Every platform — FluidFaaS, the ESG / INFless baselines and the
+//! ablation arms — is this engine built with a different bundle
 //! (`Engine::new(cfg, bundle, trace)`); none has an event loop of its own.
 
 use std::collections::VecDeque;

@@ -7,7 +7,6 @@ pub mod catalog;
 pub mod engine;
 pub mod events;
 pub mod hub;
-pub mod mqfq;
 pub mod policy;
 pub mod request;
 pub mod runner;
@@ -18,7 +17,6 @@ pub use catalog::{FuncId, FunctionCatalog};
 pub use engine::{Engine, EngineCore, EngineError, SchedulerLog, MAX_LAUNCHES_PER_TICK};
 pub use events::{Event, InstanceId};
 pub use hub::MetricsHub;
-pub use mqfq::{mqfq_policies, mqfq_policies_with, MqfqParams, MqfqState};
 pub use policy::{
     Autoscaler, Migrator, NoMigrator, NoSharedPool, Placer, PolicyBundle, Router, SharedPoolPolicy,
 };

@@ -233,7 +233,7 @@ impl SharedPoolPolicy for FluidSharedPool {
 }
 
 /// Adds a free slice that fits `mem` to the shared pool.
-pub(crate) fn grow_pool(core: &mut EngineCore, f: FuncId, mem: f64, now: SimTime) -> Option<usize> {
+fn grow_pool(core: &mut EngineCore, f: FuncId, mem: f64, now: SimTime) -> Option<usize> {
     let mut candidates = core.fleet.free_slices_at_least(None, mem);
     // Smallest slice that fits, deterministic by id.
     candidates.sort_by_key(|s| (s.profile, s.id));

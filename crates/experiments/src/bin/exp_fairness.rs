@@ -1,11 +1,10 @@
-//! Fairness comparison: INFless / ESG / FluidFaaS / MQFQ-Sticky across
-//! the three multi-tenant scenarios (noisy neighbor, adversarial burst,
-//! mixed SLO classes).
+//! Fairness comparison: INFless / ESG / FluidFaaS across the three
+//! multi-tenant scenarios (noisy neighbor, adversarial burst, mixed SLO
+//! classes).
 //!
-//! Prints the per-tenant fairness table plus grep-friendly
-//! `fairness_*=` lines the `fairness-smoke` CI job asserts on, and
-//! records the sweep summary in `BENCH_fairness.json` (`BENCH_harness.json`
-//! belongs to `exp_all`'s sweep).
+//! Prints the aggregate and per-tenant fairness tables, and records one
+//! row per cell in `BENCH_fairness.json` (`BENCH_harness.json` belongs to
+//! `exp_all`'s sweep), which the `fairness-smoke` CI job checks.
 use std::path::Path;
 use std::time::Instant;
 
@@ -30,22 +29,8 @@ fn main() {
         "== Fairness (per tenant) ==\n{}",
         ffs_experiments::fairness::render_detail(&cells)
     );
-    let summary = ffs_experiments::fairness::summarize(&cells);
-    println!(
-        "fairness_mqfq_goodput_jain_noisy={:.4}",
-        summary.mqfq_jain_noisy
-    );
-    println!(
-        "fairness_esg_goodput_jain_noisy={:.4}",
-        summary.esg_jain_noisy
-    );
-    println!(
-        "fairness_mqfq_beats_esg_noisy={}",
-        u8::from(summary.mqfq_jain_noisy > summary.esg_jain_noisy)
-    );
-
     let mut report = parallel::bench_report(started.elapsed().as_secs_f64());
-    report.fairness = Some(summary);
+    report.fairness = Some(ffs_experiments::fairness::summarize(&cells));
     eprintln!(
         "harness: {} runs in {:.1}s wall ({:.2} runs/s, {:.1}s simulated busy, {} threads)",
         report.runs, report.total_secs, report.runs_per_sec, report.busy_secs, report.threads

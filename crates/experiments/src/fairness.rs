@@ -1,56 +1,28 @@
-//! Fairness experiment: per-tenant outcomes across four schedulers and
-//! three multi-tenant scenarios.
+//! Fairness experiment: per-tenant outcomes across the paper's three
+//! systems and three multi-tenant scenarios.
 //!
 //! The paper's figures compare fleet-wide aggregates; this sweep slices
 //! the same runs per tenant. Each [`FairnessScenario`] trace replays
-//! against INFless, ESG, FluidFaaS and the MQFQ-Sticky policy family, and
-//! every cell reports Jain's index over tenant throughput, the worst
-//! per-tenant SLO attainment, and the aggressor/victim p99 split — the
-//! numbers a fleet-wide CDF hides.
+//! against INFless, ESG and FluidFaaS, and every cell reports Jain's
+//! index over tenant throughput and goodput, the cell's total goodput,
+//! the worst per-tenant SLO attainment, and the aggressor/victim p99
+//! split — the numbers a fleet-wide CDF hides.
 
 use ffs_metrics::{TenantReport, TextTable};
 use ffs_trace::{FairnessScenario, WorkloadClass};
 use fluidfaas::FfsConfig;
 
 use crate::parallel::run_matrix;
-use crate::runner::{run_fluid_with, run_system, SystemKind};
+use crate::runner::{run_system, SystemKind};
 
 /// The workload class whose apps the fairness scenarios perturb.
 pub const WORKLOAD: WorkloadClass = WorkloadClass::Medium;
-
-/// The four compared schedulers: the paper's three plus MQFQ-Sticky.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FairSystem {
-    /// One of the paper's three systems.
-    Paper(SystemKind),
-    /// The MQFQ-Sticky fair-queueing policy family.
-    MqfqSticky,
-}
-
-impl FairSystem {
-    /// All compared systems, baselines first (the paper's table order),
-    /// MQFQ-Sticky last.
-    pub const ALL: [FairSystem; 4] = [
-        FairSystem::Paper(SystemKind::Infless),
-        FairSystem::Paper(SystemKind::Esg),
-        FairSystem::Paper(SystemKind::FluidFaaS),
-        FairSystem::MqfqSticky,
-    ];
-
-    /// Display name.
-    pub const fn name(self) -> &'static str {
-        match self {
-            FairSystem::Paper(kind) => kind.name(),
-            FairSystem::MqfqSticky => "MQFQ-Sticky",
-        }
-    }
-}
 
 /// One (system, scenario) cell: the per-tenant report of a full run.
 #[derive(Clone, Debug)]
 pub struct FairnessCell {
     /// The scheduler.
-    pub system: FairSystem,
+    pub system: SystemKind,
     /// The scenario whose trace the run replayed.
     pub scenario: FairnessScenario,
     /// Per-tenant slices of the run's request log.
@@ -70,6 +42,13 @@ impl FairnessCell {
             .fold(None, |acc, p| Some(acc.map_or(p, |a: f64| a.max(p))))
     }
 
+    /// Goodput summed over tenants (SLO-compliant completions/s). Zero
+    /// means no tenant got anything, the case where `jain_goodput` reads
+    /// 1.0 for an all-zero allocation.
+    pub fn total_goodput_rps(&self) -> f64 {
+        self.report.tenants.iter().map(|t| t.goodput_rps).sum()
+    }
+
     /// The aggressor tenant's p99, when the scenario has one.
     pub fn aggressor_p99_ms(&self) -> Option<f64> {
         let aggressor = self.scenario.aggressor(WORKLOAD)?;
@@ -77,9 +56,9 @@ impl FairnessCell {
     }
 }
 
-/// Runs the full cross-product (4 systems × 3 scenarios) over the
-/// [`run_matrix`] worker pool. Cells come back scenario-major in
-/// [`FairSystem::ALL`] × [`FairnessScenario::ALL`] order.
+/// Runs the full cross-product (3 systems × 3 scenarios) over the
+/// [`run_matrix`] worker pool. Cells come back system-major in
+/// [`SystemKind::ALL`] × [`FairnessScenario::ALL`] order.
 pub fn run(duration_secs: f64, seed: u64) -> Vec<FairnessCell> {
     let traces: Vec<_> = FairnessScenario::ALL
         .iter()
@@ -88,21 +67,14 @@ pub fn run(duration_secs: f64, seed: u64) -> Vec<FairnessCell> {
             sc.generate(WORKLOAD, duration_secs, seed)
         })
         .collect();
-    let specs: Vec<(FairSystem, usize)> = FairSystem::ALL
+    let specs: Vec<(SystemKind, usize)> = SystemKind::ALL
         .iter()
         .flat_map(|&system| (0..FairnessScenario::ALL.len()).map(move |i| (system, i)))
         .collect();
     run_matrix(&specs, |&(system, scenario_idx)| {
         let scenario = FairnessScenario::ALL[scenario_idx];
         let trace = &traces[scenario_idx];
-        let cfg = FfsConfig::paper_default(WORKLOAD);
-        let out = match system {
-            FairSystem::Paper(kind) => run_system(kind, cfg, trace),
-            FairSystem::MqfqSticky => {
-                let policies = fluidfaas::mqfq_policies(&cfg);
-                run_fluid_with(cfg, policies, trace)
-            }
-        };
+        let out = run_system(system, FfsConfig::paper_default(WORKLOAD), trace);
         FairnessCell {
             system,
             scenario,
@@ -114,7 +86,7 @@ pub fn run(duration_secs: f64, seed: u64) -> Vec<FairnessCell> {
 /// The cell for one (system, scenario) pair, if present.
 pub fn cell(
     cells: &[FairnessCell],
-    system: FairSystem,
+    system: SystemKind,
     scenario: FairnessScenario,
 ) -> Option<&FairnessCell> {
     cells
@@ -130,12 +102,13 @@ pub fn render(cells: &[FairnessCell]) -> String {
         "system",
         "jain (tput)",
         "jain (goodput)",
+        "goodput rps",
         "worst SLO",
         "victim p99 (ms)",
         "aggressor p99 (ms)",
     ]);
     for scenario in FairnessScenario::ALL {
-        for system in FairSystem::ALL {
+        for system in SystemKind::ALL {
             let Some(c) = cell(cells, system, scenario) else {
                 continue;
             };
@@ -144,6 +117,7 @@ pub fn render(cells: &[FairnessCell]) -> String {
                 system.name().to_string(),
                 format!("{:.4}", c.report.jain_throughput),
                 format!("{:.4}", c.report.jain_goodput),
+                format!("{:.3}", c.total_goodput_rps()),
                 format!("{:.4}", c.report.worst_slo_attainment()),
                 fmt_opt(c.victim_worst_p99_ms()),
                 fmt_opt(c.aggressor_p99_ms()),
@@ -169,7 +143,7 @@ pub fn render_detail(cells: &[FairnessCell]) -> String {
         "p99 (ms)",
     ]);
     for scenario in FairnessScenario::ALL {
-        for system in FairSystem::ALL {
+        for system in SystemKind::ALL {
             let Some(c) = cell(cells, system, scenario) else {
                 continue;
             };
@@ -202,6 +176,8 @@ pub struct FairnessSummaryRow {
     pub jain_throughput: f64,
     /// Jain's index over tenant goodput (SLO-compliant completions/s).
     pub jain_goodput: f64,
+    /// Goodput summed over tenants (req/s).
+    pub total_goodput_rps: f64,
     /// Minimum per-tenant SLO attainment.
     pub worst_slo_attainment: f64,
     /// `(tenant, p99_ms)` pairs, ascending by tenant; `None` when the
@@ -209,37 +185,17 @@ pub struct FairnessSummaryRow {
     pub tenant_p99_ms: Vec<(u32, Option<f64>)>,
 }
 
-/// The fairness section of `BENCH_fairness.json`: every cell's Jain /
-/// per-tenant p99, plus the noisy-neighbor MQFQ-vs-ESG comparison the
-/// `fairness-smoke` CI job gates on.
-#[derive(Clone, Debug)]
-pub struct FairnessSummary {
-    /// One row per (scenario, system) cell.
-    pub rows: Vec<FairnessSummaryRow>,
-    /// MQFQ-Sticky's goodput Jain index on the noisy-neighbor scenario.
-    /// Goodput (not raw completions) is the gated figure: with a bounded
-    /// drain every scheduler eventually completes the same requests, so
-    /// raw-throughput Jain collapses to the offered-load skew, while
-    /// goodput keeps the scheduler's ordering decisions visible.
-    pub mqfq_jain_noisy: f64,
-    /// ESG's goodput Jain index on the noisy-neighbor scenario.
-    pub esg_jain_noisy: f64,
-}
-
-/// Collapses the sweep into the `BENCH_fairness.json` summary.
-pub fn summarize(cells: &[FairnessCell]) -> FairnessSummary {
-    let jain_of = |system: FairSystem| {
-        cell(cells, system, FairnessScenario::NoisyNeighbor)
-            .map(|c| c.report.jain_goodput)
-            .unwrap_or(0.0)
-    };
-    let rows = cells
+/// Collapses the sweep into the rows of `BENCH_fairness.json`'s
+/// fairness section, one per (system, scenario) cell.
+pub fn summarize(cells: &[FairnessCell]) -> Vec<FairnessSummaryRow> {
+    cells
         .iter()
         .map(|c| FairnessSummaryRow {
             scenario: c.scenario.name(),
             system: c.system.name(),
             jain_throughput: c.report.jain_throughput,
             jain_goodput: c.report.jain_goodput,
+            total_goodput_rps: c.total_goodput_rps(),
             worst_slo_attainment: c.report.worst_slo_attainment(),
             tenant_p99_ms: c
                 .report
@@ -248,12 +204,7 @@ pub fn summarize(cells: &[FairnessCell]) -> FairnessSummary {
                 .map(|t| (t.tenant, t.p99_ms))
                 .collect(),
         })
-        .collect();
-    FairnessSummary {
-        rows,
-        mqfq_jain_noisy: jain_of(FairSystem::MqfqSticky),
-        esg_jain_noisy: jain_of(FairSystem::Paper(SystemKind::Esg)),
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -265,7 +216,7 @@ mod tests {
         let cells = run(20.0, 3);
         assert_eq!(
             cells.len(),
-            FairSystem::ALL.len() * FairnessScenario::ALL.len()
+            SystemKind::ALL.len() * FairnessScenario::ALL.len()
         );
         let tenants = WORKLOAD.apps().len();
         for c in &cells {
@@ -279,10 +230,21 @@ mod tests {
             let j = c.report.jain_throughput;
             assert!(j > 0.0 && j <= 1.0 + 1e-12, "jain {j} out of range");
         }
-        let summary = summarize(&cells);
-        assert_eq!(summary.rows.len(), cells.len());
-        assert!(summary.mqfq_jain_noisy > 0.0);
-        assert!(summary.esg_jain_noisy > 0.0);
+        let rows = summarize(&cells);
+        assert_eq!(rows.len(), cells.len());
+        for r in &rows {
+            assert!(r.total_goodput_rps > 0.0, "{} on {}", r.system, r.scenario);
+        }
+        for system in SystemKind::ALL {
+            for scenario in FairnessScenario::ALL {
+                assert!(
+                    cell(&cells, system, scenario).is_some(),
+                    "{} on {}: missing cell",
+                    system.name(),
+                    scenario.name()
+                );
+            }
+        }
         assert!(!render(&cells).is_empty());
     }
 }

@@ -18,7 +18,7 @@
 //! | [`fig16`]  | Figure 16 — GPU utilization over time |
 //! | [`table6`] | Table 6 — normalized GPU time and MIG time |
 //! | [`ablation`] | design-choice ablations (CV ranking, time sharing, migration) |
-//! | [`fairness`] | per-tenant fairness: 4 systems × 3 multi-tenant scenarios |
+//! | [`fairness`] | per-tenant fairness: 3 systems × 3 multi-tenant scenarios |
 //! | [`sensitivity`] | SLO-scale sweep and seed-sweep statistics |
 //! | [`resilience`] | SLO attainment and goodput vs fault rate (MTBF sweep) |
 //! | [`scale`] | sharded-engine scale sweep (16→4096 GPUs, lane-count cross-check) |

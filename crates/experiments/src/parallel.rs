@@ -378,9 +378,9 @@ pub struct BenchReport {
     /// lanes), when the section ran one (`exp_all` sets it after the
     /// sequential sweep; other binaries leave `None`).
     pub multicore: Option<crate::scale::MulticoreSummary>,
-    /// Fairness-sweep summary, when the section ran one (`exp_fairness`
-    /// sets it; other binaries leave `None`).
-    pub fairness: Option<crate::fairness::FairnessSummary>,
+    /// Fairness-sweep rows, one per (system, scenario) cell, when the
+    /// section ran one (`exp_fairness` sets it; other binaries leave `None`).
+    pub fairness: Option<Vec<crate::fairness::FairnessSummaryRow>>,
     /// Per-worker-slot totals (slot 0 is the sequential path), for spotting
     /// per-worker skew in the parallel harness.
     pub per_thread: Vec<ThreadLoad>,
@@ -586,9 +586,8 @@ pub fn write_bench_json(path: &Path, report: &BenchReport) -> std::io::Result<()
         None => String::new(),
     };
     let fairness = match &report.fairness {
-        Some(f) => {
-            let rows = f
-                .rows
+        Some(rows) => {
+            let rows = rows
                 .iter()
                 .map(|r| {
                     let p99 = r
@@ -601,16 +600,13 @@ pub fn write_bench_json(path: &Path, report: &BenchReport) -> std::io::Result<()
                         .collect::<Vec<_>>()
                         .join(", ");
                     format!(
-                        "      {{ \"scenario\": \"{}\", \"system\": \"{}\", \"jain_throughput\": {:.4}, \"jain_goodput\": {:.4}, \"worst_slo_attainment\": {:.4}, \"tenant_p99_ms\": {{ {} }} }}",
-                        r.scenario, r.system, r.jain_throughput, r.jain_goodput, r.worst_slo_attainment, p99,
+                        "      {{ \"scenario\": \"{}\", \"system\": \"{}\", \"jain_throughput\": {:.4}, \"jain_goodput\": {:.4}, \"total_goodput_rps\": {:.3}, \"worst_slo_attainment\": {:.4}, \"tenant_p99_ms\": {{ {} }} }}",
+                        r.scenario, r.system, r.jain_throughput, r.jain_goodput, r.total_goodput_rps, r.worst_slo_attainment, p99,
                     )
                 })
                 .collect::<Vec<_>>()
                 .join(",\n");
-            format!(
-                ",\n  \"fairness\": {{\n    \"mqfq_goodput_jain_noisy_neighbor\": {:.4},\n    \"esg_goodput_jain_noisy_neighbor\": {:.4},\n    \"rows\": [\n{}\n    ]\n  }}",
-                f.mqfq_jain_noisy, f.esg_jain_noisy, rows,
-            )
+            format!(",\n  \"fairness\": {{\n    \"rows\": [\n{rows}\n    ]\n  }}")
         }
         None => String::new(),
     };

@@ -1,35 +1,34 @@
-//! MQFQ-Sticky determinism: the acceptance bar for a new policy family
-//! is a byte-identical double run. Same trace, same config, same policy
-//! parameters → the full request log (ids, arrivals, completions,
-//! breakdowns) and cost figures must hash identically, and the per-tenant
-//! fairness report must agree bit-for-bit.
+//! Fairness determinism: a multi-tenant run must be a pure function of
+//! (trace, config). Same scenario, same seed → the full request log (ids,
+//! arrivals, completions, breakdowns) and cost figures must hash
+//! identically, and the per-tenant fairness report must agree
+//! bit-for-bit.
 
-use ffs_experiments::fairness::{cell, run, FairSystem};
-use ffs_experiments::runner::run_fluid_with;
+use ffs_experiments::fairness::{cell, run};
+use ffs_experiments::runner::{run_system, SystemKind};
 use ffs_trace::{FairnessScenario, WorkloadClass};
-use fluidfaas::{mqfq_policies, run_output_digest, FfsConfig};
+use fluidfaas::{run_output_digest, FfsConfig};
 
-/// One MQFQ run over a fairness scenario, collapsed to a digest.
-fn mqfq_digest(scenario: FairnessScenario, secs: f64, seed: u64) -> u64 {
+/// One FluidFaaS run over a fairness scenario, collapsed to a digest.
+fn fluid_digest(scenario: FairnessScenario, secs: f64, seed: u64) -> u64 {
     let trace = scenario.generate(WorkloadClass::Light, secs, seed);
     let cfg = FfsConfig::paper_default(WorkloadClass::Light);
-    let policies = mqfq_policies(&cfg);
-    let out = run_fluid_with(cfg, policies, &trace);
+    let out = run_system(SystemKind::FluidFaaS, cfg, &trace);
     run_output_digest(&out)
 }
 
 #[test]
-fn mqfq_double_run_is_bit_identical() {
+fn fluid_double_run_is_bit_identical() {
     for scenario in FairnessScenario::ALL {
-        let a = mqfq_digest(scenario, 20.0, 1);
-        let b = mqfq_digest(scenario, 20.0, 1);
+        let a = fluid_digest(scenario, 20.0, 1);
+        let b = fluid_digest(scenario, 20.0, 1);
         assert_eq!(a, b, "{}: double run diverged", scenario.name());
     }
     // Different seeds must actually change the run, or the digest above
     // proves nothing.
     assert_ne!(
-        mqfq_digest(FairnessScenario::NoisyNeighbor, 20.0, 1),
-        mqfq_digest(FairnessScenario::NoisyNeighbor, 20.0, 2),
+        fluid_digest(FairnessScenario::NoisyNeighbor, 20.0, 1),
+        fluid_digest(FairnessScenario::NoisyNeighbor, 20.0, 2),
         "digest is seed-insensitive"
     );
 }
@@ -56,12 +55,16 @@ fn fairness_sweep_double_run_agrees_per_tenant() {
             assert_eq!(ta.p99_ms.map(f64::to_bits), tb.p99_ms.map(f64::to_bits));
         }
     }
-    // The MQFQ cell exists for every scenario.
-    for scenario in FairnessScenario::ALL {
-        assert!(
-            cell(&a, FairSystem::MqfqSticky, scenario).is_some(),
-            "{}: missing MQFQ cell",
-            scenario.name()
-        );
+    // Every (system, scenario) cell exists, and nothing else.
+    assert_eq!(a.len(), SystemKind::ALL.len() * FairnessScenario::ALL.len());
+    for system in SystemKind::ALL {
+        for scenario in FairnessScenario::ALL {
+            assert!(
+                cell(&a, system, scenario).is_some(),
+                "{} on {}: missing cell",
+                system.name(),
+                scenario.name()
+            );
+        }
     }
 }

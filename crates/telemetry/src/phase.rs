@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use crate::clock;
 
 /// Number of phases in the fixed alphabet.
-pub const PHASE_COUNT: usize = 12;
+pub const PHASE_COUNT: usize = 11;
 
 /// Deepest span nesting the path encoding can represent.
 const MAX_DEPTH: usize = 8;
@@ -73,9 +73,6 @@ pub enum Phase {
     /// Maintaining the per-function admissible-instance routing index at
     /// slab mutation points (admit, stage finish, phase transitions).
     RouteIndexMaint = 10,
-    /// MQFQ virtual-time maintenance: advancing the global virtual clock
-    /// over the backlogged flows before a fair-queueing dispatch.
-    VtUpdate = 11,
 }
 
 impl Phase {
@@ -92,7 +89,6 @@ impl Phase {
         Phase::ObsFold,
         Phase::RunOther,
         Phase::RouteIndexMaint,
-        Phase::VtUpdate,
     ];
 
     /// Stable snake_case name (used as the Prometheus `phase` label and
@@ -110,7 +106,6 @@ impl Phase {
             Phase::ObsFold => "obs_fold",
             Phase::RunOther => "run_other",
             Phase::RouteIndexMaint => "route_index_maint",
-            Phase::VtUpdate => "vt_update",
         }
     }
 
