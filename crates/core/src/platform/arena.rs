@@ -2,13 +2,15 @@
 //! containers, so `run_matrix` workers pay construction and teardown once
 //! per thread instead of once per run.
 //!
-//! A simulation run allocates three container families whose capacity is
+//! A simulation run allocates four container families whose capacity is
 //! expensive to build and trivial to recycle:
 //!
 //! * the event scheduler (its wheel's node pool, grown to the run's peak
 //!   population, plus the far heap / preload stream),
 //! * the request table (one record per trace invocation),
-//! * the instance slab (spine plus seven SoA hot columns).
+//! * the instance slab (spine plus seven SoA hot columns),
+//! * the request log (one record per invocation, one breakdown per
+//!   completion).
 //!
 //! `RunArena` keeps drained-and-reset instances of each in a
 //! thread-local pool. `run_platform` borrows a scheduler for the run's
@@ -18,11 +20,19 @@
 //! freed — and the next run on the same worker thread starts with
 //! warm capacity.
 //!
+//! `EngineCore` also takes its metrics hub's request log from the pool,
+//! but only a sharded run gives logs back: a lane copies each finished
+//! cell's log into the fleet log and stores it, so one warm log serves
+//! all of the lane's cells. A single-engine run hands its log to the
+//! caller, so the log pool of a thread that runs no sharded cells stays
+//! empty and each of its runs takes a fresh log. [`ArenaStats`] therefore
+//! counts logs apart from the other three families.
+//!
 //! Reuse is bit-neutral by construction: a reset scheduler is
 //! indistinguishable from a fresh one (`Scheduler::reset` restores
 //! seq/cursor/clock state exactly; see its unit test), a cleared `Vec`
-//! refilled from the trace holds identical records, and a cleared slab is
-//! empty. The experiments crate pins this down with a byte-identical
+//! refilled from the trace holds identical records, and a cleared slab or
+//! log is empty. The experiments crate pins this down with a byte-identical
 //! `run_matrix` comparison across 1/2/4 workers (different worker counts
 //! exercise different reuse interleavings).
 //!
@@ -33,6 +43,7 @@
 
 use std::cell::RefCell;
 
+use ffs_metrics::RequestLog;
 use ffs_sim::Scheduler;
 
 use super::events::Event;
@@ -50,10 +61,15 @@ const MAX_POOLED: usize = 8;
 /// Counters describing the calling thread's arena behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Containers constructed because the pool was empty.
+    /// Schedulers, request buffers and slabs constructed because the pool
+    /// was empty.
     pub fresh: u64,
-    /// Containers recycled from the pool.
+    /// Schedulers, request buffers and slabs recycled from the pool.
     pub reused: u64,
+    /// Request logs constructed because the pool was empty.
+    pub logs_fresh: u64,
+    /// Request logs recycled from the pool.
+    pub logs_reused: u64,
 }
 
 #[derive(Default)]
@@ -61,6 +77,7 @@ struct RunArena {
     schedulers: Vec<Scheduler<Event>>,
     request_bufs: Vec<Vec<RequestState>>,
     slabs: Vec<InstanceSlab>,
+    logs: Vec<RequestLog>,
     stats: ArenaStats,
 }
 
@@ -86,7 +103,8 @@ pub fn pooled_capacity() -> usize {
         let sched: usize = a.schedulers.iter().map(Scheduler::retained_capacity).sum();
         let reqs: usize = a.request_bufs.iter().map(Vec::capacity).sum();
         let slabs: usize = a.slabs.iter().map(InstanceSlab::retained_capacity).sum();
-        sched + reqs + slabs
+        let logs: usize = a.logs.iter().map(RequestLog::capacity).sum();
+        sched + reqs + slabs + logs
     })
 }
 
@@ -165,6 +183,31 @@ pub fn store_slab(mut s: InstanceSlab) {
     });
 }
 
+/// Borrows an empty request log with warm capacity.
+pub fn take_log() -> RequestLog {
+    with(|a| match a.logs.pop() {
+        Some(log) => {
+            a.stats.logs_reused += 1;
+            debug_assert!(log.is_empty());
+            log
+        }
+        None => {
+            a.stats.logs_fresh += 1;
+            RequestLog::new()
+        }
+    })
+}
+
+/// Returns a request log to the pool (cleared, capacity retained).
+pub fn store_log(mut log: RequestLog) {
+    log.clear();
+    with(|a| {
+        if a.logs.len() < MAX_POOLED {
+            a.logs.push(log);
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +220,7 @@ mod tests {
             a.schedulers.clear();
             a.request_bufs.clear();
             a.slabs.clear();
+            a.logs.clear();
         });
         let before = arena_stats();
         let s = take_scheduler(16);
@@ -195,5 +239,22 @@ mod tests {
         assert!(v.is_empty());
         assert!(v.capacity() >= cap, "capacity must survive the pool");
         store_request_buffer(v);
+
+        let mut log = take_log();
+        log.reserve(100);
+        let cap = log.capacity();
+        let logs_before = arena_stats();
+        store_log(log);
+        let log = take_log();
+        assert!(log.is_empty());
+        assert!(log.capacity() >= cap, "capacity must survive the pool");
+        let logs_after = arena_stats();
+        assert_eq!(logs_after.logs_reused, logs_before.logs_reused + 1);
+        assert_eq!(logs_after.logs_fresh, logs_before.logs_fresh);
+        assert_eq!(
+            (logs_after.fresh, logs_after.reused),
+            (logs_before.fresh, logs_before.reused),
+            "logs are counted apart"
+        );
     }
 }

@@ -198,10 +198,6 @@ impl EngineCore {
         let catalog = FunctionCatalog::for_workload(cfg.workload, cfg.slo_scale, &cfg.perf);
         let fleet = Fleet::new(cfg.nodes, cfg.gpus_per_node, &cfg.scheme)?;
         let mut hub = MetricsHub::new(&catalog, fleet.gpu_count(), SimDuration::from_secs(1));
-        // Every invocation produces exactly one log record (completed or
-        // abandoned); sizing the log up front keeps the completion path
-        // allocation-free.
-        hub.log.reserve(trace.invocations.len());
         // Request table and instance slab come from the thread's run arena
         // (warm capacity after the first run); both go back on drop.
         let n = catalog.len();
@@ -213,6 +209,12 @@ impl EngineCore {
             super::arena::store_request_buffer(requests);
             return Err(e);
         }
+        // The log comes from the arena too (warm only on a sharded run's
+        // lanes, which return each cell's log). Every invocation produces
+        // exactly one record (completed or abandoned); sizing the log up
+        // front keeps the completion path allocation-free.
+        hub.log = super::arena::take_log();
+        hub.log.reserve(trace.invocations.len());
         let horizon = SimTime::ZERO + trace.duration + cfg.drain;
         // Utilization samples land once per tick through the whole run;
         // pre-sizing the bins keeps the tick path reallocation-free too.

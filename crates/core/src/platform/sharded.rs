@@ -23,14 +23,17 @@
 //! # Lifecycle
 //!
 //! ```text
-//!  calling thread: policy bundles, cell order (`make_policies` need not be Sync)
+//!  calling thread: policy bundles, cell order (`make_policies` need not be Sync);
+//!        │         fleet log columns reserved once, split into one slot per cell
 //!        │
 //!  lanes ├─ claim the next cell index from one shared counter
-//!        │  set up its engine (containers from the lane's arena),
-//!        │  one run_until(end), finalize, ids → global, fold;
-//!        │  containers back to the lane's arena
+//!        │  set up its engine (containers and log from the lane's arena),
+//!        │  one run_until(end), finalize, fold;
+//!        │  write the log into the cell's slot, ids → global;
+//!        │  containers and log back to the lane's arena
 //!        │  … until every cell is claimed
-//!  calling thread: concatenate the cell outputs in cell order
+//!  calling thread: close the breakdown gaps, set the fleet log's lengths,
+//!                  sum costs and curves in cell order
 //! ```
 //!
 //! A cell runs on the same driver as
@@ -45,21 +48,37 @@
 //! cost well. Each lane holds one live cell at a time — its engine,
 //! scheduler and request table go back to the lane's arena before it
 //! claims the next — so peak memory is the lanes' live cells plus the
-//! folded outputs, not every cell's engine at once.
+//! fleet log, not every cell's engine at once.
+//!
+//! # The fleet log, written in place
+//!
+//! The fleet log is the cell logs concatenated in cell order. Its record
+//! and breakdown columns are reserved once, one entry per invocation
+//! each, and cut into one disjoint slot per cell, sized by the cell's
+//! trace length. A cell logs every invocation exactly once, so its
+//! records fill its slot; it writes one breakdown per *completed* record,
+//! so its breakdowns may fill only a prefix of their slot. Once the lanes
+//! are joined, the calling thread slides each cell's breakdowns down over
+//! the gaps its predecessors left (abandoned requests have none) and sets
+//! both lengths. The fleet log is never reallocated, and the lanes, not
+//! the calling thread, copy the records; only breakdowns that follow an
+//! abandoned request move a second time.
 //!
 //! # Determinism argument
 //!
 //! The run is a pure function of `(traces, config, seed)` and is
 //! byte-identical for any lane count: each cell is claimed by exactly one
 //! lane, cells share no mutable state, and arena reuse is bit-neutral, so
-//! a cell's output does not depend on which lane ran it or when. The
-//! merge concatenates the cell outputs in cell index order.
+//! a cell's output does not depend on which lane ran it or when. Each
+//! cell's log lands at a position fixed by the cell order alone, and the
+//! merge sums costs and curves in cell index order.
 
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ffs_metrics::{CostReport, RequestLog};
+use ffs_metrics::{Breakdown, CostReport, RequestLog, RequestRecord};
 use ffs_sim::{SimDuration, SimTime};
 use ffs_telemetry::{span, Phase as TelemetryPhase};
 use ffs_trace::CellTrace;
@@ -132,25 +151,99 @@ impl ShardRunStats {
     }
 }
 
+/// One cell's share of the fleet log's spare capacity: room for one
+/// record per invocation of the cell's trace, and as many breakdowns.
+struct CellSlot<'a> {
+    records: &'a mut [MaybeUninit<RequestRecord>],
+    breakdowns: &'a mut [MaybeUninit<Breakdown>],
+}
+
 /// A cell's input, taken by the lane that claims it.
-type CellInput = Mutex<Option<(CellTrace, PolicyBundle)>>;
+type CellInput<'a> = Mutex<Option<(CellTrace, PolicyBundle, CellSlot<'a>)>>;
 
-/// A finished cell: its output (log on trace-global ids) and the events
-/// its scheduler executed.
-type CellResult = Result<(RunOutput, u64), EngineError>;
+/// A finished cell: its output with an empty log (the log is already in
+/// the cell's slot), the events its scheduler executed, and the number of
+/// breakdowns it wrote (its completed requests).
+type CellResult = Result<(RunOutput, u64, usize), EngineError>;
 
-/// Runs one cell start to finish on `cfg` (the per-cell config) and maps
-/// its log onto trace-global ids. The engine's containers go back to the
-/// calling lane's arena before this returns.
-fn run_cell(cfg: &FfsConfig, ct: CellTrace, policies: PolicyBundle) -> CellResult {
+/// Runs one cell start to finish on `cfg` (the per-cell config) and
+/// writes its log into `slot`. The engine's containers and the cell's
+/// log go back to the calling lane's arena before this returns.
+fn run_cell(
+    cfg: &FfsConfig,
+    ct: CellTrace,
+    policies: PolicyBundle,
+    slot: CellSlot<'_>,
+) -> CellResult {
     let mut engine = {
         let _setup = span(TelemetryPhase::EngineSetup);
         Engine::new(cfg.clone(), policies, &ct.trace)?
     };
     let (mut out, events) = drive(&mut engine, &ct.trace);
     drop(engine);
-    out.log.remap_ids(|id| ct.global_ids[id as usize]);
-    Ok((out, events))
+    let _fold = span(TelemetryPhase::ObsFold);
+    let log = std::mem::take(&mut out.log);
+    let completed = write_slot(&log, &ct.global_ids, slot);
+    super::arena::store_log(log);
+    Ok((out, events, completed))
+}
+
+/// Writes a cell's log into its slot of the fleet log, mapping ids to
+/// trace-global ids, and returns the number of breakdowns written.
+///
+/// # Panics
+/// Unless the log holds exactly one record per slot entry and one
+/// breakdown per completed record: [`run_sharded`] sets the fleet log's
+/// lengths on these two facts.
+fn write_slot(log: &RequestLog, global_ids: &[u64], slot: CellSlot<'_>) -> usize {
+    assert_eq!(
+        log.len(),
+        slot.records.len(),
+        "a cell logs each of its invocations exactly once"
+    );
+    let mut completed = 0;
+    for (dst, r) in slot.records.iter_mut().zip(log.records()) {
+        completed += usize::from(r.completed.is_some());
+        dst.write(RequestRecord {
+            id: global_ids[r.id as usize],
+            ..*r
+        });
+    }
+    let breakdowns = log.breakdowns();
+    assert_eq!(
+        breakdowns.len(),
+        completed,
+        "one breakdown per completed record"
+    );
+    for (dst, &b) in slot.breakdowns.iter_mut().zip(breakdowns) {
+        dst.write(b);
+    }
+    completed
+}
+
+/// Cuts the first `lens.iter().sum()` entries of both columns' spare
+/// capacity into consecutive per-cell slots of `lens[c]` entries each.
+fn split_slots<'a>(
+    records: &'a mut Vec<RequestRecord>,
+    breakdowns: &'a mut Vec<Breakdown>,
+    lens: &[usize],
+) -> Vec<CellSlot<'a>> {
+    let (mut records, mut breakdowns) = (
+        records.spare_capacity_mut(),
+        breakdowns.spare_capacity_mut(),
+    );
+    lens.iter()
+        .map(|&n| {
+            let (r, rest) = std::mem::take(&mut records).split_at_mut(n);
+            records = rest;
+            let (b, rest) = std::mem::take(&mut breakdowns).split_at_mut(n);
+            breakdowns = rest;
+            CellSlot {
+                records: r,
+                breakdowns: b,
+            }
+        })
+        .collect()
 }
 
 /// One lane: claims cell indices from `next` in order and runs each cell
@@ -158,7 +251,7 @@ fn run_cell(cfg: &FfsConfig, ct: CellTrace, policies: PolicyBundle) -> CellResul
 /// results, each tagged with its cell index.
 fn run_lane(
     cfg: &FfsConfig,
-    inputs: &[CellInput],
+    inputs: &[CellInput<'_>],
     next: &AtomicUsize,
 ) -> (Duration, Vec<(usize, CellResult)>) {
     let start = Instant::now();
@@ -170,12 +263,12 @@ fn run_lane(
         let Some(input) = inputs.get(c) else {
             break;
         };
-        let (ct, policies) = input
+        let (ct, policies, slot) = input
             .lock()
             .expect("cell input lock")
             .take()
             .expect("each cell is claimed once");
-        done.push((c, run_cell(cfg, ct, policies)));
+        done.push((c, run_cell(cfg, ct, policies, slot)));
     }
     (start.elapsed(), done)
 }
@@ -221,13 +314,20 @@ where
         .first()
         .map(|ct| ct.trace.duration)
         .unwrap_or(SimDuration::from_secs(0));
-    let total_invocations: usize = cell_traces.iter().map(|ct| ct.trace.len()).sum();
+    let cell_lens: Vec<usize> = cell_traces.iter().map(|ct| ct.trace.len()).collect();
+    let total_invocations: usize = cell_lens.iter().sum();
     let end = SimTime::ZERO + duration + cell_cfg.drain;
+    // The fleet log's columns, filled in place by the lanes (see the
+    // module doc); the breakdown column is sized for every request
+    // completing.
+    let mut records: Vec<RequestRecord> = Vec::with_capacity(total_invocations);
+    let mut breakdowns: Vec<Breakdown> = Vec::with_capacity(total_invocations);
     let inputs: Vec<CellInput> = cell_traces
         .into_iter()
-        .map(|ct| {
+        .zip(split_slots(&mut records, &mut breakdowns, &cell_lens))
+        .map(|(ct, slot)| {
             debug_assert_eq!(ct.trace.duration, duration, "cells share one horizon");
-            Mutex::new(Some((ct, make_policies(&cell_cfg))))
+            Mutex::new(Some((ct, make_policies(&cell_cfg), slot)))
         })
         .collect();
     ffs_obs::record_at(0, || ffs_obs::ObsEvent::RunStart {
@@ -265,8 +365,12 @@ where
         done.extend(lane_done);
     }
     done.sort_unstable_by_key(|&(c, _)| c);
+    // Every slot was handed out and is written: the lanes' borrows of the
+    // fleet log end here.
+    drop(inputs);
+    assert_eq!(done.len(), cells, "every cell runs exactly once");
 
-    // ---- Concatenate the cells (cell order, lane-invariant). ----
+    // ---- Merge the cells (cell order, lane-invariant). ----
     let _fold = span(TelemetryPhase::ObsFold);
     let mut output = RunOutput {
         log: RequestLog::new(),
@@ -284,16 +388,24 @@ where
         slices_per_gpu: 0,
         faults: FaultStats::default(),
     };
-    output.log.reserve(total_invocations);
     let mut events_per_cell = Vec::with_capacity(cells);
+    // Cell `c`'s breakdowns start at its record offset; `kept` is where
+    // the compacted breakdown column currently ends.
+    let (mut offset, mut kept) = (0, 0);
     for (c, result) in done {
-        let (mut out, events) = result?;
+        let (mut out, events, completed) = result?;
+        if kept != offset {
+            breakdowns
+                .spare_capacity_mut()
+                .copy_within(offset..offset + completed, kept);
+        }
+        offset += cell_lens[c];
+        kept += completed;
         events_per_cell.push(events);
         if c == 0 {
             output.slices_per_gpu = out.slices_per_gpu;
         }
         output.faults += out.faults;
-        output.log.append(&mut out.log);
         let cost = &mut output.cost;
         cost.gpu_time_secs.append(&mut out.cost.gpu_time_secs);
         cost.occupied_secs.append(&mut out.cost.occupied_secs);
@@ -305,6 +417,16 @@ where
         merge_curve(&mut output.allocated_gpcs, &out.allocated_gpcs);
         merge_curve(&mut output.required_gpcs, &out.required_gpcs);
     }
+    // SAFETY: the slots tile the first `total_invocations` entries of
+    // both columns in cell order, and every cell ran (asserted above).
+    // `write_slot` asserted that each cell initialised its whole record
+    // slot and exactly `completed` breakdowns at the head of its breakdown
+    // slot; the loop above moved those to `..kept`, in cell order.
+    unsafe {
+        records.set_len(total_invocations);
+        breakdowns.set_len(kept);
+    }
+    output.log = RequestLog::from_columns(records, breakdowns);
     ffs_obs::record_at(end.as_micros(), || ffs_obs::ObsEvent::RunEnd {
         sim_secs: end.saturating_since(SimTime::ZERO).as_secs_f64(),
     });

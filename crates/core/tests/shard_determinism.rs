@@ -199,6 +199,26 @@ fn overload_traces(per_app: usize) -> (FfsConfig, Vec<CellTrace>) {
     (cfg, cells)
 }
 
+/// The overload cell followed by a lightly loaded one on the same
+/// config: the first cell abandons requests and so writes fewer
+/// breakdowns than records, and the second completes requests, so the
+/// fleet log's breakdown column only lines up if the merge slides the
+/// second cell's breakdowns down over the first cell's gap.
+fn overload_then_light_traces() -> (FfsConfig, Vec<CellTrace>) {
+    let (cfg, mut cells) = overload_traces(48);
+    let busy = cells[0].trace.len() as u64;
+    let light = AzureTraceConfig::steady(WorkloadClass::Medium.apps(), 12.0, 1.0, 9).generate();
+    assert_eq!(
+        light.duration, cells[0].trace.duration,
+        "cells share one horizon"
+    );
+    cells[1] = CellTrace {
+        global_ids: (busy..busy + light.len() as u64).collect(),
+        trace: light,
+    };
+    (cfg, cells)
+}
+
 /// A request record with its breakdown, every f64 as its bit pattern.
 type Row = (u64, u32, u64, Option<u64>, u64, u32, [u64; 4]);
 
@@ -221,7 +241,9 @@ fn rows(log: &RequestLog) -> Vec<Row> {
 /// Cells are independent runs: each cell's slice of a multi-cell run's
 /// log equals that cell's trace run alone through `run_platform` on
 /// `nodes / cells` nodes, with ids mapped to global ids. Every request is
-/// logged exactly once, under a unique global id.
+/// logged exactly once, under a unique global id. The last case has a
+/// cell that abandons requests ahead of one that completes some, so a
+/// breakdown misplaced by the merge shows up in the row comparison.
 #[test]
 fn each_cell_matches_its_solo_run() {
     let mut medium = FfsConfig::paper_default(WorkloadClass::Medium);
@@ -229,9 +251,11 @@ fn each_cell_matches_its_solo_run() {
     medium.gpus_per_node = 4;
     let trace = AzureTraceConfig::for_workload(WorkloadClass::Medium, 20.0, 6).generate();
     let (overload, overload_cells) = overload_traces(48);
-    for (cfg, cells) in [
-        (&medium, partition_trace(&trace, 4)),
-        (&overload, overload_cells),
+    let (mixed, mixed_cells) = overload_then_light_traces();
+    for (cfg, cells, moves_breakdowns) in [
+        (&medium, partition_trace(&trace, 4), false),
+        (&overload, overload_cells, false),
+        (&mixed, mixed_cells, true),
     ] {
         let n = cells.len();
         let total: usize = cells.iter().map(|ct| ct.trace.len()).sum();
@@ -247,12 +271,15 @@ fn each_cell_matches_its_solo_run() {
         cell_cfg.nodes = cfg.nodes / n;
         let got = rows(&out.log);
         let mut at = 0;
+        let (mut abandoned_before, mut moved) = (false, false);
         for (c, ct) in cells.iter().enumerate() {
             let mut engine = Engine::new(cell_cfg.clone(), paper_policies(&cell_cfg), &ct.trace)
                 .expect("valid cell setup");
             let mut solo = run_platform(&mut engine, &ct.trace).log;
             solo.remap_ids(|id| ct.global_ids[id as usize]);
             let want = rows(&solo);
+            moved |= abandoned_before && solo.records().iter().any(|r| r.completed.is_some());
+            abandoned_before |= solo.records().iter().any(|r| r.completed.is_none());
             assert_eq!(
                 got[at..at + want.len()],
                 want[..],
@@ -261,5 +288,9 @@ fn each_cell_matches_its_solo_run() {
             at += want.len();
         }
         assert_eq!(at, got.len());
+        assert_eq!(
+            moved, moves_breakdowns,
+            "a completing cell after an abandoning one is the case that moves breakdowns"
+        );
     }
 }

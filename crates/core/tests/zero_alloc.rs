@@ -15,11 +15,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ffs_profile::App;
 use ffs_sim::{run_until, Scheduler, SimTime};
-use ffs_trace::{AzureTraceConfig, Trace, WorkloadClass};
+use ffs_trace::{AzureTraceConfig, ScaleTraceConfig, Trace, WorkloadClass};
 use fluidfaas::platform::arena::{arena_stats, pooled_capacity};
 use fluidfaas::platform::events::Event;
 use fluidfaas::platform::run_platform;
-use fluidfaas::{paper_policies, Engine, FfsConfig};
+use fluidfaas::{
+    paper_policies, run_output_digest, run_sharded_fluid, Engine, FfsConfig, ShardSpec,
+};
 
 /// Allocation events observed while the current thread is in a measured
 /// window. Thread-scoped via the `COUNTING` flag so harness threads and
@@ -132,9 +134,10 @@ fn scheduler_construction_allocates_a_small_constant() {
 }
 
 /// After one warm-up run per thread, the run arena reaches a fixed point:
-/// every later run on the thread takes all three container families
-/// (scheduler, request buffer, instance slab) from the pool, and the
-/// pooled capacity stops growing. This is the property that makes
+/// every later run on the thread takes its scheduler, request buffer and
+/// instance slab from the pool, and the pooled capacity stops growing.
+/// (The fourth family, the request log, goes to the caller with the run's
+/// output; only sharded lanes return logs, see the last test.) This is the property that makes
 /// `run_matrix` teardown O(1) amortised — repeat runs neither construct
 /// nor grow the big per-run containers.
 #[test]
@@ -173,5 +176,46 @@ fn arena_reaches_zero_growth_after_warmup() {
     assert_eq!(
         cap_end, cap_warm,
         "pooled capacity must be flat once the thread has seen its biggest run"
+    );
+}
+
+/// A sharded run's lane copies each finished cell's log into the fleet
+/// log and returns it to the arena, so one warm log serves all of the
+/// lane's cells. After one warm-up run, a 1-lane run over 8 cells takes
+/// every cell log (and every other container) from the pool, and the
+/// pooled capacity, logs included, stays flat.
+#[test]
+fn sharded_lane_recycles_every_cell_log() {
+    const CELLS: usize = 8;
+    let mut cfg = FfsConfig::paper_default(WorkloadClass::Medium);
+    cfg.nodes = CELLS;
+    cfg.gpus_per_node = 1;
+    let tc = ScaleTraceConfig::new(64, 10.0, 40.0, 5);
+    let cells: Vec<_> = (0..CELLS).map(|c| tc.cell_trace(c, CELLS)).collect();
+    let run = || {
+        let (out, _) =
+            run_sharded_fluid(&cfg, cells.clone(), &ShardSpec::new(CELLS, 1)).expect("sharded run");
+        run_output_digest(&out)
+    };
+
+    let baseline = run();
+    let (stats_warm, cap_warm) = (arena_stats(), pooled_capacity());
+    assert_eq!(run(), baseline, "log reuse must be inert");
+    let (stats_end, cap_end) = (arena_stats(), pooled_capacity());
+
+    assert_eq!(
+        stats_end.logs_fresh, stats_warm.logs_fresh,
+        "a warmed lane must construct no fresh cell logs"
+    );
+    assert_eq!(
+        stats_end.logs_reused,
+        stats_warm.logs_reused + CELLS as u64,
+        "every cell must take its log from the arena"
+    );
+    assert_eq!(stats_end.fresh, stats_warm.fresh);
+    assert_eq!(stats_end.reused, stats_warm.reused + 3 * CELLS as u64);
+    assert_eq!(
+        cap_end, cap_warm,
+        "pooled capacity must be flat once the lane has seen its biggest cell"
     );
 }

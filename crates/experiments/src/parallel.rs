@@ -36,7 +36,14 @@ static ARENA_POOLED: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 thread_local! {
     /// What this thread last folded into the process totals.
     static ARENA_FOLDED: std::cell::Cell<ArenaStats> =
-        const { std::cell::Cell::new(ArenaStats { fresh: 0, reused: 0 }) };
+        const {
+            std::cell::Cell::new(ArenaStats {
+                fresh: 0,
+                reused: 0,
+                logs_fresh: 0,
+                logs_reused: 0,
+            })
+        };
 }
 
 /// Folds this thread's arena activity since its previous fold into the

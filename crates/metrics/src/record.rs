@@ -137,24 +137,59 @@ impl RequestLog {
         self.breakdowns.reserve(n);
     }
 
-    /// Rewrites every record's id through `map` (a sharded run's cell
-    /// logs hold cell-local ids until they are merged).
+    /// Rewrites every record's id through `map` (a cell of a sharded run
+    /// logs cell-local ids; the fleet log holds trace-global ones).
     pub fn remap_ids(&mut self, mut map: impl FnMut(u64) -> u64) {
         for r in &mut self.records {
             r.id = map(r.id);
         }
     }
 
-    /// Moves every record of `other` to the end of this log, in order,
-    /// leaving `other` empty. Each record keeps its breakdown.
-    pub fn append(&mut self, other: &mut RequestLog) {
-        self.records.append(&mut other.records);
-        self.breakdowns.append(&mut other.breakdowns);
+    /// A log over ready-made columns: `records` in log order and
+    /// `breakdowns` holding one entry per completed record, in the same
+    /// order (a sharded run assembles its fleet log this way).
+    ///
+    /// # Panics
+    /// Panics if there are more breakdowns than records. The exact pairing
+    /// (one breakdown per completed record) is the caller's to keep; debug
+    /// builds check it.
+    pub fn from_columns(records: Vec<RequestRecord>, breakdowns: Vec<Breakdown>) -> Self {
+        assert!(
+            breakdowns.len() <= records.len(),
+            "{} breakdowns for {} records",
+            breakdowns.len(),
+            records.len()
+        );
+        debug_assert_eq!(
+            records.iter().filter(|r| r.completed.is_some()).count(),
+            breakdowns.len(),
+            "one breakdown per completed record"
+        );
+        RequestLog {
+            records,
+            breakdowns,
+        }
+    }
+
+    /// Empties the log, keeping both columns' capacity.
+    pub fn clear(&mut self) {
+        self.records.clear();
+        self.breakdowns.clear();
+    }
+
+    /// Element capacity of both columns together.
+    pub fn capacity(&self) -> usize {
+        self.records.capacity() + self.breakdowns.capacity()
     }
 
     /// All records.
     pub fn records(&self) -> &[RequestRecord] {
         &self.records
+    }
+
+    /// The breakdown column: one entry per completed record, in log order.
+    pub fn breakdowns(&self) -> &[Breakdown] {
+        &self.breakdowns
     }
 
     /// Every record in log order, paired with its latency breakdown; an
@@ -230,10 +265,10 @@ impl RequestLog {
     /// simulation clock keeps them in (input of
     /// [`LatencyCdf::from_micros`](crate::LatencyCdf::from_micros)).
     pub fn latencies_us(&self) -> Vec<u64> {
-        self.records
-            .iter()
-            .filter_map(RequestRecord::latency_us)
-            .collect()
+        // One breakdown per completed record: the exact output length.
+        let mut out = Vec::with_capacity(self.breakdowns.len());
+        out.extend(self.records.iter().filter_map(RequestRecord::latency_us));
+        out
     }
 
     /// Completed-request latencies for one app, in microseconds.
@@ -401,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn append_and_remap_keep_each_breakdown_with_its_record() {
+    fn columns_and_remap_keep_each_breakdown_with_its_record() {
         let first = [
             record(0, 0, 0, Some(40.0), 500.0),
             record(1, 1, 0, None, 500.0),
@@ -414,9 +449,15 @@ mod tests {
         first.into_iter().for_each(|p| push(&mut a, p));
         second.into_iter().for_each(|p| push(&mut b, p));
         b.remap_ids(|id| id + 10);
-        a.append(&mut b);
-        assert!(b.is_empty());
-        let merged: Vec<(u64, Breakdown)> = a
+        // Concatenate the two logs column by column.
+        let records = [a.records(), b.records()].concat();
+        let breakdowns = [a.breakdowns(), b.breakdowns()].concat();
+        let merged = RequestLog::from_columns(records, breakdowns);
+        assert_eq!(merged.latencies_us(), [40_000, 70_000]);
+        b.clear();
+        assert!(b.is_empty() && b.breakdowns().is_empty());
+        assert!(b.capacity() >= 3, "clear keeps both columns' capacity");
+        let merged: Vec<(u64, Breakdown)> = merged
             .records_with_breakdowns()
             .map(|(r, b)| (r.id, b))
             .collect();
