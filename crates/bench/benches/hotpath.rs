@@ -490,7 +490,7 @@ fn bench_arrival_ingest(c: &mut Criterion) {
     g.bench_function("preload_sorted", |b| {
         b.iter(|| {
             let mut s: Scheduler<u32> = Scheduler::new();
-            s.preload_sorted(arrivals.iter().enumerate().map(|(i, &t)| (t, i as u32)));
+            s.preload_sorted(arrivals.iter().copied(), |i| i as u32);
             run_until(&mut Ingest { rng: SEED }, &mut s, SimTime::MAX);
             black_box(s.executed())
         })

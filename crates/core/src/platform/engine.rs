@@ -73,6 +73,15 @@ pub enum EngineError {
     Fleet(MigError),
     /// The trace invokes an application the catalog does not serve.
     UnknownApp(ffs_profile::App),
+    /// The trace's ids are not `0..n` in order: invocation `index` carries
+    /// id `id`. Requests are indexed (and arrivals keyed) by position, so
+    /// only dense ids keep logged ids equal to trace ids.
+    SparseIds {
+        /// Position of the first offending invocation.
+        index: usize,
+        /// The id it carries.
+        id: u64,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -82,6 +91,12 @@ impl std::fmt::Display for EngineError {
             EngineError::UnknownApp(app) => {
                 write!(f, "trace invokes {app:?}, which is not in the catalog")
             }
+            EngineError::SparseIds { index, id } => {
+                write!(
+                    f,
+                    "trace invocation {index} has id {id}; ids must be 0..n in order"
+                )
+            }
         }
     }
 }
@@ -90,7 +105,7 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Fleet(e) => Some(e),
-            EngineError::UnknownApp(_) => None,
+            EngineError::UnknownApp(_) | EngineError::SparseIds { .. } => None,
         }
     }
 }
@@ -114,7 +129,8 @@ pub struct EngineCore {
     pub fleet: Fleet,
     /// Metrics collection.
     pub hub: MetricsHub,
-    /// One state record per trace invocation, indexed by request id.
+    /// One state record per trace invocation, indexed by request id (trace
+    /// ids are dense; `try_new` rejects a trace whose ids are not).
     pub requests: Vec<RequestState>,
     /// Live exclusive instances.
     pub instances: InstanceSlab,
@@ -179,7 +195,8 @@ pub struct EngineCore {
     /// time-sharing slot must fit.
     pub mem_gb: Vec<f64>,
     /// Each function's SLO budget as a duration, converted once per run:
-    /// a request's deadline is its arrival plus this.
+    /// a request's deadline is its arrival plus this
+    /// ([`RequestState::deadline`]).
     pub slo: Vec<SimDuration>,
     /// Fault-injection state (`ffs-chaos`); inert when faults are disabled.
     pub chaos: ChaosState,
@@ -205,7 +222,7 @@ impl EngineCore {
             .map(|f| SimDuration::from_millis_f64(catalog.slo_ms(f)))
             .collect();
         let mut requests = super::arena::take_request_buffer();
-        if let Err(e) = build_requests_into(&catalog, &slo, trace, &mut requests) {
+        if let Err(e) = build_requests_into(&catalog, trace, &mut requests) {
             super::arena::store_request_buffer(requests);
             return Err(e);
         }
@@ -386,7 +403,7 @@ impl EngineCore {
         use super::request::ServePath::*;
         let mut mix = (0, 0, 0);
         for r in &self.requests {
-            if r.completed.is_none() {
+            if !r.done {
                 continue;
             }
             match r.served {
@@ -510,7 +527,7 @@ impl EngineCore {
             let EngineCore { requests, hub, .. } = self;
             let state = &mut requests[req as usize];
             let breakdown = state.finish(now);
-            hub.complete(state, breakdown);
+            hub.complete(req, state, now, breakdown);
         } else {
             // Boundary transfer through host shared memory.
             self.requests[req as usize].transfer_ms += transfer_ms;
@@ -556,7 +573,7 @@ impl EngineCore {
         now: SimTime,
         sched: &mut Scheduler<Event>,
     ) {
-        let f = self.requests[req as usize].func;
+        let f = self.requests[req as usize].func();
         let slot = self.pool.slot_mut(slot_idx);
         debug_assert_eq!(slot.resident, Some(f));
         slot.touch_resident(f);
@@ -985,15 +1002,15 @@ pub(crate) fn mono_split(
 }
 
 /// Fills `out` (a recycled arena buffer) with one request record per
-/// invocation — identical contents to a freshly collected table.
+/// invocation — identical contents to a freshly collected table — and
+/// checks that the trace's ids are `0..n` in order, since the table (and
+/// the scheduler's arrival stream) is indexed by position.
 ///
-/// Each app is resolved once per run, to its function and that function's
-/// SLO duration (`slo`, indexed by function), in a table indexed by
-/// [`App::index`](ffs_profile::App::index); the per-invocation work is one
-/// lookup and an integer add.
+/// Each app is resolved once per run to its function, in a table indexed
+/// by [`App::index`](ffs_profile::App::index); the per-invocation work is
+/// one lookup.
 fn build_requests_into(
     catalog: &FunctionCatalog,
-    slo: &[SimDuration],
     trace: &Trace,
     out: &mut Vec<RequestState>,
 ) -> Result<(), EngineError> {
@@ -1003,18 +1020,21 @@ fn build_requests_into(
         .map(|f| catalog.profile(f).app.index() + 1)
         .max()
         .unwrap_or(0);
-    let mut by_app: Vec<Option<(FuncId, SimDuration)>> = vec![None; slots];
+    let mut by_app: Vec<Option<FuncId>> = vec![None; slots];
     for f in catalog.ids() {
-        by_app[catalog.profile(f).app.index()] = Some((f, slo[f]));
+        by_app[catalog.profile(f).app.index()] = Some(f);
     }
     out.reserve(trace.invocations.len());
-    for inv in &trace.invocations {
-        let (f, slo) = by_app
+    for (index, inv) in trace.invocations.iter().enumerate() {
+        if inv.id != index as u64 {
+            return Err(EngineError::SparseIds { index, id: inv.id });
+        }
+        let f = by_app
             .get(inv.app.index())
             .copied()
             .flatten()
             .ok_or(EngineError::UnknownApp(inv.app))?;
-        let mut state = RequestState::with_slo(inv.id, f, inv.arrival, slo);
+        let mut state = RequestState::new(f, inv.arrival);
         state.tenant = inv.tenant;
         out.push(state);
     }
@@ -1060,7 +1080,7 @@ impl Engine {
     #[inline]
     fn on_arrival(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Event>) {
         let Engine { core, policies } = self;
-        let f = core.requests[id as usize].func;
+        let f = core.requests[id as usize].func();
         ffs_obs::record(|| ffs_obs::ObsEvent::RequestArrived {
             req: id,
             func: f as u32,
@@ -1190,8 +1210,8 @@ impl Engine {
             let EngineCore { requests, hub, .. } = &mut *core;
             let state = &mut requests[req as usize];
             let breakdown = state.finish(now);
-            hub.complete(state, breakdown);
-            state.func
+            hub.complete(req, state, now, breakdown);
+            state.func()
         };
         core.last_use[f] = now;
         if !core.pending[f].is_empty() {
@@ -1422,7 +1442,7 @@ impl Engine {
                 // it completed on the dead worker is lost (its exec/load
                 // accumulators keep the wasted time, so latency reflects
                 // the failure).
-                let f = core.requests[req as usize].func;
+                let f = core.requests[req as usize].func();
                 core.note_arrival(f);
                 core.last_use[f] = now;
                 core.pending[f].push_back(req);
@@ -1447,9 +1467,9 @@ impl Platform for Engine {
         // `requests` and `hub` are disjoint fields, so the table is walked
         // in place (table order) while the hub logs each abandonment.
         let core = &mut self.core;
-        for r in &core.requests {
-            if r.completed.is_none() {
-                core.hub.abandon(r);
+        for (id, r) in core.requests.iter().enumerate() {
+            if !r.done {
+                core.hub.abandon(id as u64, r);
             }
         }
         // Each request is logged exactly once: completed ones when they
@@ -1513,7 +1533,7 @@ mod tests {
     use ffs_trace::{AzureTraceConfig, WorkloadClass};
 
     #[test]
-    fn request_table_deadlines_match_request_state_new() {
+    fn derived_deadlines_match_catalog_slo() {
         let trace = AzureTraceConfig::for_workload(WorkloadClass::Medium, 20.0, 3).generate();
         let core = EngineCore::try_new(FfsConfig::test_small(WorkloadClass::Medium), &trace)
             .unwrap_or_else(|e| panic!("valid setup: {e}"));
@@ -1525,25 +1545,21 @@ mod tests {
                 .ids()
                 .find(|&f| core.catalog.profile(f).app == inv.app)
                 .expect("catalog app");
-            let reference = RequestState::new(inv.id, f, inv.arrival, core.catalog.slo_ms(f));
-            assert_eq!(r.func, f);
-            assert_eq!(r.deadline, reference.deadline, "request {}", inv.id);
+            assert_eq!(r.func(), f);
+            assert_eq!(
+                r.deadline(core.slo[f]),
+                inv.arrival + SimDuration::from_millis_f64(core.catalog.slo_ms(f)),
+                "request {}",
+                inv.id
+            );
             assert_eq!(r.tenant, inv.tenant);
+            assert!(!r.done);
         }
     }
 
     #[test]
     fn unknown_app_is_an_error_and_returns_the_request_buffer() {
-        // Leave exactly one known buffer in this thread's pool.
-        loop {
-            let fresh = arena_stats().fresh;
-            let v = take_request_buffer();
-            if arena_stats().fresh != fresh {
-                break;
-            }
-            drop(v);
-        }
-        store_request_buffer(Vec::with_capacity(64));
+        pool_one_request_buffer();
         // The study catalog does not serve the LLM extension app; its
         // invocations are interleaved with served ones, so the table is
         // partly built when the lookup fails.
@@ -1556,6 +1572,26 @@ mod tests {
             panic!("a trace invoking an uncatalogued app must be rejected");
         };
         assert_eq!(err, EngineError::UnknownApp(App::LlmService));
+        assert_buffer_returned(before);
+    }
+
+    /// Leaves exactly one known buffer, of capacity 64, in this thread's
+    /// request-buffer pool.
+    fn pool_one_request_buffer() {
+        loop {
+            let fresh = arena_stats().fresh;
+            let v = take_request_buffer();
+            if arena_stats().fresh != fresh {
+                break;
+            }
+            drop(v);
+        }
+        store_request_buffer(Vec::with_capacity(64));
+    }
+
+    /// Asserts the failed build handed its buffer back: the next take
+    /// reuses it instead of constructing one.
+    fn assert_buffer_returned(before: crate::platform::arena::ArenaStats) {
         let v = take_request_buffer();
         let after = arena_stats();
         assert_eq!(
@@ -1564,5 +1600,24 @@ mod tests {
         );
         assert_eq!(after.reused, before.reused + 2);
         assert!(v.is_empty() && v.capacity() >= 64);
+    }
+
+    #[test]
+    fn sparse_ids_are_an_error_and_return_the_request_buffer() {
+        pool_one_request_buffer();
+        let mut trace =
+            AzureTraceConfig::steady(vec![App::ImageClassification], 5.0, 4.0, 1).generate();
+        assert!(trace.invocations.len() > 4);
+        // A gap part-way through: the table is partly built when it fails.
+        for inv in &mut trace.invocations[3..] {
+            inv.id += 1;
+        }
+        let before = arena_stats();
+        let Err(err) = EngineCore::try_new(FfsConfig::test_small(WorkloadClass::Medium), &trace)
+        else {
+            panic!("a trace whose ids are not 0..n must be rejected");
+        };
+        assert_eq!(err, EngineError::SparseIds { index: 3, id: 4 });
+        assert_buffer_returned(before);
     }
 }

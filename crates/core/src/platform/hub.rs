@@ -55,17 +55,21 @@ impl MetricsHub {
         }
     }
 
-    /// Records a completed request.
-    pub fn complete(&mut self, req: &RequestState, breakdown: Breakdown) {
+    /// Records request `id`, completed at `completed`.
+    pub fn complete(
+        &mut self,
+        id: u64,
+        req: &RequestState,
+        completed: SimTime,
+        breakdown: Breakdown,
+    ) {
+        let f = req.func();
         if ffs_obs::enabled() {
-            let latency_ms = req
-                .completed
-                .map(|t| t.saturating_since(req.arrival).as_secs_f64() * 1_000.0)
-                .unwrap_or(f64::NAN);
-            let slo_ms = self.slo_of_func[req.func];
+            let latency_ms = completed.saturating_since(req.arrival).as_secs_f64() * 1_000.0;
+            let slo_ms = self.slo_of_func[f];
             ffs_obs::record(|| ffs_obs::ObsEvent::RequestCompleted {
-                req: req.id,
-                app: self.app_of_func[req.func],
+                req: id,
+                app: self.app_of_func[f],
                 latency_ms,
                 slo_ms,
                 slo_met: latency_ms <= slo_ms,
@@ -73,30 +77,31 @@ impl MetricsHub {
         }
         self.log.push_completed(
             RequestRecord {
-                id: req.id,
-                app_index: self.app_of_func[req.func],
+                id,
+                app_index: self.app_of_func[f],
                 arrival: req.arrival,
-                completed: req.completed,
-                slo_ms: self.slo_of_func[req.func],
+                completed: Some(completed),
+                slo_ms: self.slo_of_func[f],
                 tenant: req.tenant,
             },
             breakdown,
         );
     }
 
-    /// Records a request that never completed (dropped or unfinished at
-    /// run end) — an SLO miss.
-    pub fn abandon(&mut self, req: &RequestState) {
+    /// Records request `id`, which never completed (dropped or unfinished
+    /// at run end) — an SLO miss.
+    pub fn abandon(&mut self, id: u64, req: &RequestState) {
+        let f = req.func();
         ffs_obs::record(|| ffs_obs::ObsEvent::RequestAbandoned {
-            req: req.id,
-            app: self.app_of_func[req.func],
+            req: id,
+            app: self.app_of_func[f],
         });
         self.log.push_abandoned(RequestRecord {
-            id: req.id,
-            app_index: self.app_of_func[req.func],
+            id,
+            app_index: self.app_of_func[f],
             arrival: req.arrival,
             completed: None,
-            slo_ms: self.slo_of_func[req.func],
+            slo_ms: self.slo_of_func[f],
             tenant: req.tenant,
         });
     }
@@ -140,13 +145,22 @@ mod tests {
     #[test]
     fn complete_and_abandon_record_requests() {
         let mut h = hub();
-        let mut req = RequestState::new(0, 1, SimTime::from_secs(1), 500.0);
+        let mut req = RequestState::new(1, SimTime::from_secs(1));
         req.exec_ms = 100.0;
-        let breakdown = req.finish(SimTime::from_secs(1) + SimDuration::from_millis(200));
-        h.complete(&req, breakdown);
-        let dropped = RequestState::new(1, 0, SimTime::from_secs(2), 500.0);
-        h.abandon(&dropped);
+        let done_at = SimTime::from_secs(1) + SimDuration::from_millis(200);
+        let breakdown = req.finish(done_at);
+        assert!(req.done);
+        h.complete(0, &req, done_at, breakdown);
+        let dropped = RequestState::new(0, SimTime::from_secs(2));
+        assert!(!dropped.done);
+        h.abandon(1, &dropped);
         assert_eq!(h.log.len(), 2);
+        assert_eq!(h.log.records()[0].completed, Some(done_at));
+        assert_eq!(
+            (h.log.records()[0].id, h.log.records()[1].id),
+            (0, 1),
+            "records carry the ids the hub was given"
+        );
         assert_eq!(h.log.records()[0].app_index, 1);
         assert!(h.log.records()[0].slo_hit());
         assert!(!h.log.records()[1].slo_hit(), "abandoned = miss");

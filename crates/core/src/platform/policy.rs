@@ -332,7 +332,7 @@ pub fn should_overflow_to_shared(core: &EngineCore, f: FuncId, req: u64, now: Si
         0.0
     } else {
         core.requests[req as usize]
-            .deadline
+            .deadline(core.slo[f])
             .saturating_since(now)
             .as_secs_f64()
             * 1_000.0

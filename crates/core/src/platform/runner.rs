@@ -123,16 +123,17 @@ pub fn run_platform<P: Platform>(platform: &mut P, trace: &Trace) -> RunOutput {
 pub(super) fn drive<P: Platform>(platform: &mut P, trace: &Trace) -> (RunOutput, u64) {
     // All arrivals go in up front via the sorted bulk path (traces are
     // sorted by arrival), which keeps them out of the scheduler's wheel
-    // and overflow heap: the drain merges them in as they come due.
+    // and overflow heap and stores only their timestamps: the drain merges
+    // them in as they come due.
     // The scheduler itself comes from the thread's run arena, so its node
     // pool arrives already grown to an earlier run's peak.
     let setup = ffs_telemetry::span(ffs_telemetry::Phase::EngineSetup);
     let mut sched: Scheduler<Event> = super::arena::take_scheduler(trace.invocations.len());
+    // Stream entry `i` runs as `Arrival(i)`: the engine checked at
+    // construction that trace ids are `0..n` in order.
     sched.preload_sorted(
-        trace
-            .invocations
-            .iter()
-            .map(|inv| (inv.arrival, Event::Arrival(inv.id))),
+        trace.invocations.iter().map(|inv| inv.arrival),
+        Event::Arrival,
     );
     sched.at(SimTime::ZERO, Event::ScaleTick);
     let end = SimTime::ZERO + trace.duration + platform.drain();

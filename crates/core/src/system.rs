@@ -151,7 +151,7 @@ impl SharedPoolPolicy for FluidSharedPool {
             } else {
                 core.load_all_ms[f]
             };
-            let key = core.requests[req as usize].urgency_key(exec, load);
+            let key = core.requests[req as usize].urgency_key(core.slo[f], exec, load);
             if best.is_none_or(|(k, _, _)| key < k) {
                 best = Some((key, f, req));
             }
@@ -656,11 +656,21 @@ mod tests {
         let cfg = FfsConfig::paper_default(WorkloadClass::Heavy);
         let trace = AzureTraceConfig::for_workload(WorkloadClass::Heavy, 60.0, 4).generate();
         let mut sys = paper_engine(cfg, &trace);
-        let _ = run_platform(&mut sys, &trace);
+        let out = run_platform(&mut sys, &trace);
         let (mono, pipe, shared) = sys.core.serve_mix();
         assert!(mono > 0, "4g monoliths serve requests");
         assert!(pipe > 0, "fragment pipelines serve requests");
-        let _ = shared;
+        // Every done row was served one way, and the done flags agree with
+        // the log's completed records.
+        let done = sys.core.requests.iter().filter(|r| r.done).count();
+        assert_eq!(mono + pipe + shared, done);
+        let completed = out
+            .log
+            .records()
+            .iter()
+            .filter(|r| r.completed.is_some())
+            .count();
+        assert_eq!(done, completed);
     }
 
     #[test]
@@ -718,7 +728,7 @@ mod tests {
         let mut sched: Scheduler<Event> = Scheduler::new();
         let now = SimTime::ZERO;
         let core = &mut sys.core;
-        let (f0, f1) = (core.requests[0].func, core.requests[1].func);
+        let (f0, f1) = (core.requests[0].func(), core.requests[1].func());
         assert_ne!(f0, f1);
         for f in [f0, f1] {
             let mem = core.mem_gb[f];
@@ -735,7 +745,7 @@ mod tests {
         assert_eq!(core.pool.slot_of(f1), Some(1));
         ffs_sim::run_until(&mut sys, &mut sched, SimTime::from_secs(10));
         assert!(
-            sys.core.requests[1].completed.is_some(),
+            sys.core.requests[1].done,
             "the shared execution must complete on its own slot"
         );
         assert!(sys.core.pool.slot(1).is_free());

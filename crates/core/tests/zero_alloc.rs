@@ -18,7 +18,7 @@ use ffs_sim::{run_until, Scheduler, SimTime};
 use ffs_trace::{AzureTraceConfig, ScaleTraceConfig, Trace, WorkloadClass};
 use fluidfaas::platform::arena::{arena_stats, pooled_capacity};
 use fluidfaas::platform::events::Event;
-use fluidfaas::platform::run_platform;
+use fluidfaas::platform::{run_platform, RequestState};
 use fluidfaas::{
     paper_policies, run_output_digest, run_sharded_fluid, Engine, FfsConfig, ShardSpec,
 };
@@ -92,10 +92,8 @@ fn steady_state_events_do_not_allocate() {
 
     let mut sched: Scheduler<Event> = Scheduler::new();
     sched.preload_sorted(
-        trace
-            .invocations
-            .iter()
-            .map(|inv| (inv.arrival, Event::Arrival(inv.id))),
+        trace.invocations.iter().map(|inv| inv.arrival),
+        Event::Arrival,
     );
     sched.at(SimTime::ZERO, Event::ScaleTick);
 
@@ -118,6 +116,41 @@ fn steady_state_events_do_not_allocate() {
         allocs, 0,
         "steady-state event handling must not allocate ({executed} events executed)"
     );
+}
+
+/// The per-invocation state a run keeps is pinned: one request row of at
+/// most 48 B, and 8 B of arrival stream per invocation, reserved to exactly
+/// the trace length with no growth slack, and kept at that size when the
+/// scheduler is reset and reloaded with the same trace. A new row field or
+/// a return to a stream that stores whole events fails here.
+#[test]
+fn per_invocation_footprint_is_pinned() {
+    assert!(
+        std::mem::size_of::<RequestState>() <= 48,
+        "request row is {} B",
+        std::mem::size_of::<RequestState>()
+    );
+    let trace = AzureTraceConfig::steady(vec![App::ImageClassification], 8.0, 20.0, 5).generate();
+    let n = trace.invocations.len();
+    assert!(n > 100);
+    let mut sched: Scheduler<Event> = Scheduler::new();
+    for pass in 0..2 {
+        let cfg = FfsConfig::test_small(WorkloadClass::Light);
+        let policies = paper_policies(&cfg);
+        let mut sys = Engine::new(cfg, policies, &trace).expect("valid setup");
+        sched.preload_sorted(
+            trace.invocations.iter().map(|inv| inv.arrival),
+            Event::Arrival,
+        );
+        sched.at(SimTime::ZERO, Event::ScaleTick);
+        run_until(&mut sys, &mut sched, SimTime::from_secs(30));
+        assert_eq!(
+            sched.stream_bytes(),
+            8 * n,
+            "pass {pass}: the stream must hold 8 B per arrival"
+        );
+        sched.reset();
+    }
 }
 
 /// A fresh scheduler is a constant handful of allocations (the wheel's

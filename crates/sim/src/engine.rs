@@ -15,9 +15,10 @@
 //!   when their epoch begins.
 //! * **Stream** — a pre-sorted batch loaded up front
 //!   ([`Scheduler::preload_sorted`], e.g. a trace's arrivals) never enters
-//!   the wheel: it waits in a FIFO and is merged with the wheel at drain
-//!   time. Its seqs precede every pushed event's, so at equal timestamps
-//!   the stream head runs first.
+//!   the wheel: only its timestamps are stored, behind a cursor, and the
+//!   drain merges them with the wheel, building entry `i`'s event from `i`
+//!   when it runs. Its seqs precede every pushed event's, so at equal
+//!   timestamps the stream head runs first.
 //!
 //! Wheel events live in one node pool (`Vec<Node<E>>` with a LIFO free
 //! list); each slot of either level is just a `(head, tail)` pair of node
@@ -32,7 +33,7 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::time::SimTime;
@@ -268,13 +269,22 @@ pub struct Scheduler<E> {
     l0: Level,
     l1: Level,
     far: BinaryHeap<Scheduled<E>>,
-    /// Pre-sorted events ([`Scheduler::preload_sorted`]), consumed
-    /// front-to-back as they run; they never enter the wheel. Entries
-    /// carry seqs below every pushed event (preload happens on a fresh
-    /// scheduler), so the stream head runs before any wheel event of the
-    /// same timestamp, and merging the two by time alone reproduces exact
-    /// `(time, seq)` order.
-    stream: VecDeque<(u64, E)>,
+    /// Timestamps of the pre-sorted events ([`Scheduler::preload_sorted`]),
+    /// consumed front-to-back as they run; they never enter the wheel.
+    /// Entries carry seqs below every pushed event (preload happens on a
+    /// fresh scheduler), so the stream head runs before any wheel event of
+    /// the same timestamp, and merging the two by time alone reproduces
+    /// exact `(time, seq)` order.
+    stream: Vec<u64>,
+    /// Index of the stream's head: entries before it have been taken.
+    stream_next: usize,
+    /// Builds the event of stream entry `i` from `i` when it runs.
+    stream_event: fn(u64) -> E,
+}
+
+/// The stream constructor of a scheduler nothing was preloaded into.
+fn no_stream<E>(i: u64) -> E {
+    unreachable!("stream entry {i} on a scheduler with no preload")
 }
 
 impl<E> Default for Scheduler<E> {
@@ -306,7 +316,9 @@ impl<E> Scheduler<E> {
             l0: Level::new(),
             l1: Level::new(),
             far: BinaryHeap::with_capacity(cap),
-            stream: VecDeque::new(),
+            stream: Vec::new(),
+            stream_next: 0,
+            stream_event: no_stream::<E>,
         }
     }
 
@@ -324,6 +336,8 @@ impl<E> Scheduler<E> {
         self.free = NIL;
         self.far.clear();
         self.stream.clear();
+        self.stream_next = 0;
+        self.stream_event = no_stream::<E>;
         self.now = SimTime::ZERO;
         self.seq = 0;
         self.executed = 0;
@@ -404,26 +418,41 @@ impl<E> Scheduler<E> {
     }
 
     /// Bulk-loads a time-sorted batch of events (e.g. a trace's arrivals)
-    /// into the scheduler. Equivalent to calling [`Scheduler::at`] for each
-    /// item in order, but the items wait in a FIFO stream that the drain
-    /// merges with the wheel, so each costs one queue append and one pop
-    /// instead of a wheel or heap insert plus cascades.
+    /// into the scheduler: the `i`-th timestamp runs `event(i)`. Equivalent
+    /// to calling [`Scheduler::at`] with `event(i)` for each timestamp in
+    /// order, but only the timestamps are stored (8 B each, reserved
+    /// exactly from the iterator's size hint), and the drain merges them
+    /// with the wheel and builds each event when it runs, so an entry costs
+    /// no wheel or heap insert, no cascade and no event copy.
     ///
     /// # Panics
     /// Panics if the scheduler is not fresh (events were already scheduled)
-    /// or if the items are not sorted by nondecreasing time — both are
-    /// required for the stream's seq-order shortcut to be exact.
-    pub fn preload_sorted<I: IntoIterator<Item = (SimTime, E)>>(&mut self, items: I) {
+    /// or if the times are not sorted nondecreasingly — both are required
+    /// for the stream's seq-order shortcut to be exact.
+    pub fn preload_sorted<I: IntoIterator<Item = SimTime>>(
+        &mut self,
+        times: I,
+        event: fn(u64) -> E,
+    ) {
         assert_eq!(self.seq, 0, "preload requires a fresh scheduler");
+        let times = times.into_iter();
+        self.stream.reserve_exact(times.size_hint().0);
         let mut last = 0u64;
-        for (at, ev) in items {
+        for at in times {
             let at = at.as_micros();
             assert!(at >= last, "preload items must be sorted by time");
             last = at;
-            self.stream.push_back((at, ev));
+            self.stream.push(at);
         }
+        self.stream_event = event;
         self.seq = self.stream.len() as u64;
         self.pending = self.stream.len();
+    }
+
+    /// Bytes the preload stream holds allocated: 8 per timestamp of the
+    /// largest preload this scheduler has seen since it was created.
+    pub fn stream_bytes(&self) -> usize {
+        self.stream.capacity() * std::mem::size_of::<u64>()
     }
 
     /// The current simulation time (the timestamp of the event being
@@ -495,7 +524,7 @@ impl<E> Scheduler<E> {
     /// The stream head's timestamp, if the stream is non-empty.
     #[inline]
     fn stream_head(&self) -> Option<u64> {
-        self.stream.front().map(|&(at, _)| at)
+        self.stream.get(self.stream_next).copied()
     }
 
     /// The timestamp of L0 slot `s`.
@@ -556,10 +585,12 @@ impl<E> Scheduler<E> {
     /// Pops the earliest event, advancing cursors and cascading as needed.
     fn pop_next(&mut self) -> Option<(u64, E)> {
         if self.stream_is_next() {
-            let (at, ev) = self.stream.pop_front()?;
+            let i = self.stream_next;
+            let at = *self.stream.get(i)?;
+            self.stream_next += 1;
             self.advance_to(at);
             self.pending -= 1;
-            return Some((at, ev));
+            return Some((at, (self.stream_event)(i as u64)));
         }
         let s = self.advance_to_l0()?;
         let list = &mut self.l0.lists[s];
@@ -700,14 +731,21 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Takes the stream's batch at `t` (its head) off the books and
-    /// positions the cursors for its handlers; returns the batch size.
-    /// The entries stay queued until the drive loop pops them.
-    fn take_stream_batch(&mut self, t: u64) -> usize {
+    /// Takes the stream's batch at `t` (its head) off the books, moves the
+    /// cursor past it and positions the wheel cursors for its handlers;
+    /// returns the batch's index range. Handlers cannot touch the stream
+    /// (preload needs a fresh scheduler), so taking it whole up front is
+    /// exact.
+    fn take_stream_batch(&mut self, t: u64) -> std::ops::Range<usize> {
         self.advance_to(t);
-        let n = self.stream.iter().take_while(|&&(at, _)| at == t).count();
+        let first = self.stream_next;
+        let n = self.stream[first..]
+            .iter()
+            .take_while(|&&at| at == t)
+            .count();
+        self.stream_next += n;
         self.pending -= n;
-        n
+        first..first + n
     }
 
     /// Detaches L0 slot `s` whole and takes it off the books; returns the
@@ -737,8 +775,8 @@ enum Front {
 /// A batch [`run_until`] has taken off the books; all of it runs at one
 /// timestamp.
 enum Batch {
-    /// This many entries from the stream's front.
-    Stream(usize),
+    /// These stream entries, by index.
+    Stream(std::ops::Range<usize>),
     /// A detached L0 list, from its head node.
     Wheel(u32),
 }
@@ -798,8 +836,8 @@ pub fn run_until<W: World>(
                 break StopReason::DeadlineReached;
             }
             Front::Stream(t) => {
-                let n = sched.take_stream_batch(t);
-                (t, n, Batch::Stream(n))
+                let range = sched.take_stream_batch(t);
+                (t, range.len(), Batch::Stream(range))
             }
             Front::Wheel(s) => {
                 let (head, n) = sched.take_slot(s);
@@ -823,10 +861,10 @@ pub fn run_until<W: World>(
         }
         let _dispatch = ffs_telemetry::span(ffs_telemetry::Phase::BatchDispatch);
         match batch {
-            Batch::Stream(n) => {
-                for _ in 0..n {
-                    let (_, ev) = sched.stream.pop_front().expect("counted stream batch");
-                    world.handle(at, ev, sched);
+            Batch::Stream(range) => {
+                let event = sched.stream_event;
+                for i in range {
+                    world.handle(at, event(i as u64), sched);
                 }
             }
             Batch::Wheel(mut i) => {
@@ -1072,7 +1110,7 @@ mod tests {
             .collect();
         let mut via_preload = Plain { log: vec![] };
         let mut s1 = Scheduler::new();
-        s1.preload_sorted(times.iter().enumerate().map(|(i, &t)| (t, i as u32)));
+        s1.preload_sorted(times.iter().copied(), |i| i as u32);
         // A dynamic push tying with a preloaded timestamp runs after it.
         s1.at(SimTime::from_micros(5000), 90);
         assert_eq!(s1.pending(), times.len() + 1);
@@ -1098,7 +1136,10 @@ mod tests {
             fn handle(&mut self, _now: SimTime, _ev: u32, _sched: &mut Scheduler<u32>) {}
         }
         let mut s = Scheduler::new();
-        s.preload_sorted((0..100u64).map(|i| (SimTime::from_micros(i * 300_000), i as u32)));
+        s.preload_sorted(
+            (0..100u64).map(|i| SimTime::from_micros(i * 300_000)),
+            |i| i as u32,
+        );
         assert_eq!(s.pending(), 100);
         assert_eq!(
             run_until(&mut Plain, &mut s, SimTime::MAX),
@@ -1122,7 +1163,7 @@ mod tests {
         // window 2.
         let mut w = Recorder { log: vec![] };
         let mut s = Scheduler::new();
-        s.preload_sorted([(SimTime::from_micros(5_000), 20)]);
+        s.preload_sorted([SimTime::from_micros(5_000)], |i| i as u32 + 20);
         s.at(SimTime::from_micros(10_000), 21);
         // Deadline inside window 1, before window 2 starts: the stream
         // batch runs, window 2's bucket must stay closed...
@@ -1149,7 +1190,9 @@ mod tests {
     #[should_panic(expected = "sorted by time")]
     fn preload_rejects_unsorted_input() {
         let mut s: Scheduler<u32> = Scheduler::new();
-        s.preload_sorted(vec![(SimTime::from_secs(2), 0), (SimTime::from_secs(1), 1)]);
+        s.preload_sorted(vec![SimTime::from_secs(2), SimTime::from_secs(1)], |i| {
+            i as u32
+        });
     }
 
     #[test]
@@ -1255,7 +1298,9 @@ mod tests {
         // A reset scheduler accepts preload again (requires seq == 0) and
         // replays identically to a fresh one.
         let replay = |s: &mut Scheduler<u32>| {
-            s.preload_sorted([(SimTime::from_micros(7), 5), (SimTime::from_secs(30), 6)]);
+            s.preload_sorted([SimTime::from_micros(7), SimTime::from_secs(30)], |i| {
+                i as u32 + 5
+            });
             s.at(SimTime::from_micros(7), 7);
             let mut w = Recorder { log: vec![] };
             run_until(&mut w, s, SimTime::MAX);

@@ -127,17 +127,16 @@ fn load(victims: &[u64], cancels: &[(u64, usize)]) -> (Scheduler<u32>, Scheduler
 }
 
 /// Builds two identical schedulers whose victims arrive through the
-/// preloaded stream (sorted), with the cancellers pushed afterwards.
+/// preloaded stream (sorted; a victim's id is its stream position), with
+/// the cancellers pushed afterwards.
 fn load_preloaded(victims: &[u64], cancels: &[(u64, usize)]) -> (Scheduler<u32>, Scheduler<u32>) {
-    let mut sorted: Vec<(u64, u32)> = victims
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (t, i as u32))
-        .collect();
-    sorted.sort_by_key(|&(t, _)| t);
+    let mut sorted = victims.to_vec();
+    sorted.sort_unstable();
     let mut pair = [Scheduler::new(), Scheduler::new()];
     for s in &mut pair {
-        s.preload_sorted(sorted.iter().map(|&(t, id)| (SimTime::from_micros(t), id)));
+        s.preload_sorted(sorted.iter().map(|&t| SimTime::from_micros(t)), |i| {
+            i as u32
+        });
         for &(t, k) in cancels {
             s.at(
                 SimTime::from_micros(t),

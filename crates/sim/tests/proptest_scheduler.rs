@@ -319,12 +319,7 @@ proptest! {
         times.sort_unstable();
         let mut a_world = WheelWorld { log: vec![] };
         let mut a = Scheduler::new();
-        a.preload_sorted(
-            times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (SimTime::from_micros(t), i as u32)),
-        );
+        a.preload_sorted(times.iter().map(|&t| SimTime::from_micros(t)), |i| i as u32);
         let mut b_world = WheelWorld { log: vec![] };
         let mut b = Scheduler::new();
         for (i, &t) in times.iter().enumerate() {
@@ -367,12 +362,7 @@ proptest! {
         let mut wheel = Scheduler::new();
         let mut reference = RefScheduler::default();
         let mut ref_log = Vec::new();
-        wheel.preload_sorted(
-            stream
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (SimTime::from_micros(t), i as u32)),
-        );
+        wheel.preload_sorted(stream.iter().map(|&t| SimTime::from_micros(t)), |i| i as u32);
         for (i, &t) in stream.iter().enumerate() {
             reference.at(t, i as u32);
         }
