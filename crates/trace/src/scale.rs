@@ -13,6 +13,10 @@
 //! cells' invocations is independent of how many cells the fleet is split
 //! into.
 //!
+//! Costs: [`ScaleTraceConfig::new`] pays O(functions) once, to sum the
+//! rate distribution's normaliser; after that [`ScaleTraceConfig::rate_of`]
+//! is O(1) and a cell costs only its own functions and invocations.
+//!
 //! Each tenant function is mapped onto one of the profiled [`App`]s
 //! round-robin — the engine's catalog models the *execution* side, while
 //! the tenant dimension shapes the *arrival* side (rates, burstiness,
@@ -67,7 +71,7 @@ pub fn partition_trace(trace: &Trace, cells: usize) -> Vec<CellTrace> {
 #[derive(Clone, Debug)]
 pub struct ScaleTraceConfig {
     /// Number of tenant functions (10⁴–10⁶ for the scale experiments).
-    pub functions: usize,
+    functions: usize,
     /// Apps the tenant functions execute as (round-robin by function).
     pub apps: Vec<App>,
     /// Trace length in seconds.
@@ -77,23 +81,37 @@ pub struct ScaleTraceConfig {
     /// Zipf-like tail exponent of the per-function rate distribution:
     /// function `f` gets weight `(1 + f)^-alpha`. Around 1.1 reproduces
     /// the "few hot tenants dominate" shape of production traces.
-    pub alpha: f64,
+    alpha: f64,
     /// RNG seed.
     pub seed: u64,
+    /// Σ_f (1 + f)^-alpha over all functions, summed once by [`Self::new`].
+    total_weight: f64,
 }
 
 impl ScaleTraceConfig {
     /// The scale-experiment default: medium-workload apps and a mildly
     /// heavy tail.
     pub fn new(functions: usize, duration_secs: f64, total_rps: f64, seed: u64) -> Self {
+        let alpha = 1.1;
         ScaleTraceConfig {
             functions,
             apps: WorkloadClass::Medium.apps(),
             duration_secs,
             total_rps,
-            alpha: 1.1,
+            alpha,
             seed,
+            total_weight: (0..functions).map(|f| weight(f, alpha)).sum(),
         }
+    }
+
+    /// Number of tenant functions.
+    pub fn functions(&self) -> usize {
+        self.functions
+    }
+
+    /// Tail exponent of the per-function rate distribution.
+    pub fn alpha(&self) -> f64 {
+        self.alpha
     }
 
     /// The trace-global id of occurrence `k` of function `f`: the function
@@ -105,29 +123,16 @@ impl ScaleTraceConfig {
         ((f as u64) << 32) | k as u64
     }
 
-    /// The home cell of function `f` in a `cells`-way split.
-    #[inline]
-    pub fn home_cell(f: usize, cells: usize) -> usize {
-        f % cells
-    }
-
-    /// Sum of the (unnormalized) per-function weights.
-    fn total_weight(&self) -> f64 {
-        (0..self.functions)
-            .map(|f| (1.0 + f as f64).powf(-self.alpha))
-            .sum()
-    }
-
     /// Mean arrival rate (req/s) of function `f`.
     pub fn rate_of(&self, f: usize) -> f64 {
-        let w = (1.0 + f as f64).powf(-self.alpha);
-        self.total_rps * w / self.total_weight()
+        self.total_rps * weight(f, self.alpha) / self.total_weight
     }
 
     /// Synthesizes cell `cell` of a `cells`-way split: Poisson arrivals for
-    /// exactly the functions homed there, sorted by `(arrival, global id)`
-    /// with dense local ids. Generation cost and peak memory scale with the
-    /// cell's share of the fleet, not the whole trace.
+    /// exactly the functions homed there, function `f` living in cell
+    /// `f % cells`, sorted by `(arrival, global id)` with dense local ids.
+    /// Time and peak memory are those of the cell's own functions and
+    /// invocations, not the whole trace's.
     pub fn cell_trace(&self, cell: usize, cells: usize) -> CellTrace {
         assert!(cells >= 1, "need at least one cell");
         assert!(cell < cells, "cell {cell} out of range for {cells} cells");
@@ -135,13 +140,11 @@ impl ScaleTraceConfig {
         assert!(self.duration_secs > 0.0);
         assert!(self.total_rps >= 0.0);
         let root = SimRng::seed_from_u64(self.seed);
-        let total_w = self.total_weight();
         // (arrival, global id, app); the global id doubles as the
         // deterministic tie-break because it encodes (function, occurrence).
         let mut raw: Vec<(SimTime, u64, App)> = Vec::new();
         for f in (cell..self.functions).step_by(cells) {
-            let w = (1.0 + f as f64).powf(-self.alpha);
-            let rate = self.total_rps * w / total_w;
+            let rate = self.rate_of(f);
             if rate <= 0.0 {
                 continue;
             }
@@ -183,6 +186,12 @@ impl ScaleTraceConfig {
             global_ids,
         }
     }
+}
+
+/// Unnormalized rate weight of function `f`: `(1 + f)^-alpha`.
+#[inline]
+fn weight(f: usize, alpha: f64) -> f64 {
+    (1.0 + f as f64).powf(-alpha)
 }
 
 #[cfg(test)]
