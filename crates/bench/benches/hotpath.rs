@@ -1,16 +1,14 @@
-//! Microbenchmarks of the simulation hot path: the timer-wheel scheduler
-//! against the binary heap it replaced, batch slot drain against the
-//! per-event loop it replaced, scheduler set-up fresh against pooled, SoA column scans against record scans, the
-//! incremental routing index against the full admission scan, the
-//! maintained exclusive-fleet summary against the per-request scan it
-//! replaced, the incremental plan-cache signature against recomputing it
-//! from the free-slice list, the radix latency CDF against the comparison
-//! sort, preloaded arrivals against arrivals pushed through the wheel, a
+//! Microbenchmarks of the simulation hot path: scheduler set-up fresh
+//! against pooled, SoA column scans against record scans, the incremental
+//! routing index against the full admission scan, the maintained
+//! exclusive-fleet summary against the per-request scan it replaced, the
+//! incremental plan-cache signature against recomputing it from the
+//! free-slice list, the radix latency CDF against the comparison sort,
+//! preloaded arrivals against arrivals pushed through the event heap, a
 //! harness summary over a saturated run's request log, and an end-to-end
 //! run that exercises every hot-path change at once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::BinaryHeap;
 use std::hint::black_box;
 
 use ffs_metrics::{Breakdown, LatencyCdf, RequestLog, RequestRecord};
@@ -18,7 +16,7 @@ use ffs_mig::{Fleet, GpuId, NodeId, SliceId, SliceProfile};
 use ffs_pipeline::plan::StagePlan;
 use ffs_pipeline::{DeploymentPlan, InstanceEstimate};
 use ffs_profile::{App, FunctionProfile, PerfModel, Variant};
-use ffs_sim::{run_until, run_until_stepwise, Scheduler, SimTime, World};
+use ffs_sim::{run_until, Scheduler, SimTime, World};
 use ffs_trace::{AzureTraceConfig, WorkloadClass};
 use fluidfaas::instance::{Instance, Phase, StageTimings};
 use fluidfaas::plancache::{slice_signature, PlanCache};
@@ -29,7 +27,7 @@ use fluidfaas::platform::slab::InstanceSlab;
 use fluidfaas::{paper_policies, Engine, FfsConfig};
 
 // ---------------------------------------------------------------------
-// Wheel vs heap push/pop
+// Scheduler set-up
 // ---------------------------------------------------------------------
 
 /// A deterministic xorshift stream.
@@ -40,185 +38,15 @@ fn xorshift(x: &mut u64) -> u64 {
     *x
 }
 
-/// The real event mix: a standing population of pending events, each pop
-/// scheduling a short-horizon follow-up (stage completions, handoffs,
-/// ticks are all `now + a-few-ms`). The heap pays `O(log pending)` per
-/// op here; the wheel pays `O(1)`.
+/// A run's standing population of pending events.
 const PENDING: usize = 1_000;
-const CHURN_OPS: usize = 50_000;
 const SEED: u64 = 0x2545_f491_4f6c_dd1d;
-
-/// Delta for the follow-up push: 1 µs ..= ~1 s.
-fn delta(rng: &mut u64) -> u64 {
-    1 + xorshift(rng) % 1_000_000
-}
-
-struct Churn {
-    remaining: usize,
-    rng: u64,
-}
-
-impl World for Churn {
-    type Event = u32;
-    fn handle(&mut self, _t: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            let d = delta(&mut self.rng);
-            sched.after(ffs_sim::SimDuration::from_micros(d), ev);
-        }
-    }
-}
-
-/// The pre-wheel scheduler: a `(time, seq)`-ordered binary heap.
-#[derive(PartialEq, Eq)]
-struct HeapEntry {
-    at: u64,
-    seq: u64,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-fn bench_scheduler_push_pop(c: &mut Criterion) {
-    // Both sides seed the same standing population and consume the same
-    // delta stream, so they do identical logical work.
-    let seeds: Vec<u64> = {
-        let mut x = SEED;
-        (0..PENDING).map(|_| xorshift(&mut x) % 1_000_000).collect()
-    };
-    let mut g = c.benchmark_group("scheduler_steady_churn_1k_pending");
-    g.bench_function("timer_wheel", |b| {
-        b.iter(|| {
-            let mut w = Churn {
-                remaining: CHURN_OPS,
-                rng: SEED,
-            };
-            let mut s: Scheduler<u32> = Scheduler::new();
-            for (i, &t) in seeds.iter().enumerate() {
-                s.at(SimTime::from_micros(t), i as u32);
-            }
-            run_until(&mut w, &mut s, SimTime::MAX);
-            black_box(s.now())
-        })
-    });
-    g.bench_function("binary_heap", |b| {
-        b.iter(|| {
-            let mut heap = BinaryHeap::with_capacity(PENDING + 1);
-            let mut seq = 0u64;
-            for &t in &seeds {
-                heap.push(HeapEntry { at: t, seq });
-                seq += 1;
-            }
-            let mut rng = SEED;
-            let mut remaining = CHURN_OPS;
-            let mut last = 0;
-            while let Some(e) = heap.pop() {
-                last = e.at;
-                if remaining > 0 {
-                    remaining -= 1;
-                    heap.push(HeapEntry {
-                        at: e.at + delta(&mut rng),
-                        seq,
-                    });
-                    seq += 1;
-                }
-            }
-            black_box(last)
-        })
-    });
-    g.finish();
-}
-
-// ---------------------------------------------------------------------
-// Batch slot drain vs per-event drain
-// ---------------------------------------------------------------------
-
-/// Follow-up deltas quantized to a 1 ms grid with 128 distinct values:
-/// a standing population of 1k events collapses onto ~128 future slots,
-/// so L0 slots hold multi-event batches — the shape the batched loop is
-/// built for (simultaneous arrivals, same-tick completions).
-fn bursty_delta(rng: &mut u64) -> u64 {
-    (1 + xorshift(rng) % 128) * 1_000
-}
-
-struct BurstChurn {
-    remaining: usize,
-    rng: u64,
-}
-
-impl World for BurstChurn {
-    type Event = u32;
-    fn handle(&mut self, _t: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            let d = bursty_delta(&mut self.rng);
-            sched.after(ffs_sim::SimDuration::from_micros(d), ev);
-        }
-    }
-}
-
-/// The batched drive loop (`run_until`: one clock update, one deadline
-/// check, one obs flush per same-timestamp batch) against the per-event
-/// loop it replaced (`run_until_stepwise`). Identical programs, identical
-/// delivery order — the property tests pin that — so the delta is pure
-/// loop overhead.
-fn bench_batch_drain(c: &mut Criterion) {
-    // Seeds on the same 1 ms grid as the follow-up deltas, so every event
-    // the program ever schedules shares a timestamp with ~7 others.
-    let seeds: Vec<u64> = {
-        let mut x = SEED;
-        (0..PENDING)
-            .map(|_| (xorshift(&mut x) % 128) * 1_000)
-            .collect()
-    };
-    let mut g = c.benchmark_group("drain_bursty_1k_pending");
-    g.bench_function("batched", |b| {
-        b.iter(|| {
-            let mut w = BurstChurn {
-                remaining: CHURN_OPS,
-                rng: SEED,
-            };
-            let mut s: Scheduler<u32> = Scheduler::new();
-            for (i, &t) in seeds.iter().enumerate() {
-                s.at(SimTime::from_micros(t), i as u32);
-            }
-            run_until(&mut w, &mut s, SimTime::MAX);
-            black_box(s.now())
-        })
-    });
-    g.bench_function("per_event", |b| {
-        b.iter(|| {
-            let mut w = BurstChurn {
-                remaining: CHURN_OPS,
-                rng: SEED,
-            };
-            let mut s: Scheduler<u32> = Scheduler::new();
-            for (i, &t) in seeds.iter().enumerate() {
-                s.at(SimTime::from_micros(t), i as u32);
-            }
-            run_until_stepwise(&mut w, &mut s, SimTime::MAX);
-            black_box(s.now())
-        })
-    });
-    g.finish();
-}
 
 /// Per-run scheduler set-up: a fresh `Scheduler::new` (what a run or a
 /// sharded cell pays when the run arena's pool is empty) against `reset`
 /// of a pooled one. Both then load the same standing population, so the
-/// arms differ only in how the wheel is obtained and released.
+/// arms differ only in whether the event heap grows from empty or reuses
+/// a pooled one's capacity.
 fn bench_scheduler_construct(c: &mut Criterion) {
     let seeds: Vec<u64> = {
         let mut x = SEED;
@@ -446,7 +274,7 @@ fn bench_latency_cdf(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------
-// Arrival ingest: preloaded stream vs pushes through the wheel
+// Arrival ingest: preloaded stream vs pushes through the heap
 // ---------------------------------------------------------------------
 
 /// Trace-sized arrival count (a saturating 1200 s trace offers ~250k).
@@ -469,10 +297,10 @@ impl World for Ingest {
 }
 
 /// A sorted trace's arrivals loaded and drained two ways: the sorted bulk
-/// path (`preload_sorted`, whose stream the drain merges with the wheel)
-/// against pushing the same arrivals one by one with `Scheduler::at`.
-/// Same delivery order either way; the delta is what routing arrivals
-/// through the wheel's levels and cascades costs.
+/// path (`preload_sorted`, whose stream the drain merges with the event
+/// heap) against pushing the same arrivals one by one with
+/// `Scheduler::at`. Same delivery order either way; the delta is what
+/// pushing arrivals through the heap costs.
 fn bench_arrival_ingest(c: &mut Criterion) {
     // Poisson-like gaps averaging 4.8 ms: 250k arrivals over ~1200 s.
     let arrivals: Vec<SimTime> = {
@@ -608,8 +436,6 @@ fn bench_end_to_end(c: &mut Criterion) {
 
 criterion_group!(
     hotpath,
-    bench_scheduler_push_pop,
-    bench_batch_drain,
     bench_scheduler_construct,
     bench_soa_scan,
     bench_route_index,

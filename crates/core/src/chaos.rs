@@ -7,7 +7,7 @@
 //! function of `(spec, fleet shape, horizon)`: the same spec always yields
 //! the same failures at the same simulated instants, regardless of wall
 //! clock, thread count or tracing. The engine schedules the timeline
-//! through the ordinary ffs-sim timer wheel at the first scale tick and
+//! through the ordinary ffs-sim event queue at the first scale tick and
 //! handles the resulting `Fault` / `Repair` / `Recover` / `Retry` events
 //! (see `platform::engine`).
 //!

@@ -5,8 +5,8 @@
 //! A simulation run allocates four container families whose capacity is
 //! expensive to build and trivial to recycle:
 //!
-//! * the event scheduler (its wheel's node pool, grown to the run's peak
-//!   population, plus the far heap / preload stream),
+//! * the event scheduler (its event heap, grown to the run's peak
+//!   population, plus the preload stream),
 //! * the request table (one record per trace invocation),
 //! * the instance slab (spine plus seven SoA hot columns),
 //! * the request log (one record per invocation, one breakdown per
@@ -108,9 +108,8 @@ pub fn pooled_capacity() -> usize {
     })
 }
 
-/// Borrows a scheduler: reset from the pool, or fresh with far-heap
-/// capacity for `cap` pending events.
-pub fn take_scheduler(cap: usize) -> Scheduler<Event> {
+/// Borrows a scheduler: reset from the pool (capacity retained), or fresh.
+pub fn take_scheduler() -> Scheduler<Event> {
     with(|a| match a.schedulers.pop() {
         Some(s) => {
             a.stats.reused += 1;
@@ -118,7 +117,7 @@ pub fn take_scheduler(cap: usize) -> Scheduler<Event> {
         }
         None => {
             a.stats.fresh += 1;
-            Scheduler::with_capacity(cap)
+            Scheduler::new()
         }
     })
 }
@@ -223,9 +222,9 @@ mod tests {
             a.logs.clear();
         });
         let before = arena_stats();
-        let s = take_scheduler(16);
+        let s = take_scheduler();
         store_scheduler(s);
-        let s = take_scheduler(16);
+        let s = take_scheduler();
         store_scheduler(s);
         let after = arena_stats();
         assert_eq!(after.fresh, before.fresh + 1, "second take must reuse");

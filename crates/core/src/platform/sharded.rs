@@ -1,10 +1,10 @@
 //! The sharded fleet engine: independent cells on a pool of lanes.
 //!
 //! One [`EngineCore`](super::engine::EngineCore) owning the whole fleet is
-//! the scale wall for thousand-GPU runs: the timer wheel, instance slab,
+//! the scale wall for thousand-GPU runs: the event queue, instance slab,
 //! and per-function tables all grow with fleet size, and a single event
 //! loop leaves every other core idle. This module partitions the fleet
-//! into `cells` — each a full engine with its own wheel, slab, arena
+//! into `cells` — each a full engine with its own event queue, slab, arena
 //! containers, and metrics hub over a contiguous slice of the fleet and
 //! its own slice of the trace — and runs every cell start to finish as an
 //! independent run. Cells never exchange work.

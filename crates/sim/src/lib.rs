@@ -49,8 +49,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{
-    process_executed_events, run_until, run_until_stepwise, thread_executed_events, Scheduler,
-    StopReason, World,
+    process_executed_events, run_until, thread_executed_events, Scheduler, StopReason, World,
 };
 pub use rng::SimRng;
 pub use stats::{OnlineStats, TimeWeightedMean};

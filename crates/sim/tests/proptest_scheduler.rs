@@ -1,23 +1,123 @@
-//! Property tests: the timer-wheel scheduler executes arbitrary event
-//! programs in exactly the order of a reference binary-heap scheduler.
+//! Property tests: the scheduler executes arbitrary event programs in
+//! exactly the order of a reference binary-heap scheduler.
 //!
-//! The reference implementation below is the pre-wheel scheduler: one
-//! `BinaryHeap` ordered by `(time, insertion-seq)`. Both schedulers run
-//! the same randomly generated program — a mix of absolute pushes (with
-//! clustered timestamps to force same-instant ties, window-edge and
-//! epoch-crossing gaps), handler-driven chains of `immediately` and
-//! `after`, multi-deadline `run_until` sequences including deadlines
-//! that land exactly on event timestamps, and a preloaded sorted stream
-//! that the drain merges with the wheel — and must produce identical
-//! `(time, event)` logs, clocks, and pending counts.
+//! The reference below is the plainest event queue there is: one
+//! `BinaryHeap` ordered by `(time, insertion-seq)`, popped one event at a
+//! time. The scheduler under test drains a batch per timestamp and merges
+//! a preloaded stream into its heap. Both run the same randomly generated
+//! program and must produce identical `(time, event)` logs, stop reasons,
+//! clocks, pending counts and clamp counts. The programs hit the drain's
+//! tricky spots:
+//!
+//! * same-instant pushes from inside a batch (they must run after every
+//!   event already queued at that instant, as the next batch),
+//! * past-time pushes that clamp to `now`, from inside a batch and
+//!   between run segments,
+//! * tombstone cancellation + requeue (delivery-time filtering, exactly as
+//!   the chaos layer does it),
+//! * deadlines landing exactly on queued timestamps (the boundary batch
+//!   stays queued on both sides),
+//! * a preloaded stream whose batches merge with the heap's (stream first
+//!   at a shared timestamp),
+//! * segmented runs with pushes between segments.
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
 
 use ffs_sim::{run_until, Scheduler, SimDuration, SimTime, StopReason, World};
 
 // ---------------------------------------------------------------------
-// Reference scheduler: (time, seq)-ordered BinaryHeap, the exact
-// structure the timer wheel replaced.
+// The event program both schedulers execute.
+// ---------------------------------------------------------------------
+
+/// Canceller ids: `CANCEL_BASE + v` tombstones victim `v` and requeues it.
+const CANCEL_BASE: u32 = 10_000;
+/// Requeued-copy ids.
+const REQUEUE_BASE: u32 = 20_000;
+/// Log marker for a victim delivered after its tombstone (skipped work).
+const SKIP_BASE: u32 = 30_000;
+/// Backoff before a requeued copy runs (µs); off the strata in
+/// `arb_time` so requeues interleave with unrelated events.
+const REQUEUE_DELAY: u64 = 257;
+
+/// One delivery of the shared program at `now`: logs it and returns the
+/// follow-up to schedule, at an absolute time that may lie in the past
+/// (both schedulers clamp it to `now`).
+///
+/// The platform's chaos layer cannot delete queued events; it tombstones
+/// the dead target and requeues the work as a fresh event (see
+/// `fluidfaas::platform::engine`). Cancellers follow that protocol: a
+/// tombstone set consulted at delivery time. Plain ids below 1000 chain
+/// one generation of follow-ups.
+fn step(
+    now: u64,
+    ev: u32,
+    tomb: &mut HashSet<u32>,
+    log: &mut Vec<(u64, u32)>,
+) -> Option<(u64, u32)> {
+    if (CANCEL_BASE..REQUEUE_BASE).contains(&ev) {
+        log.push((now, ev));
+        // First cancellation wins; a duplicate canceller is a no-op (the
+        // engine never requeues the same dead instance's work twice).
+        let victim = ev - CANCEL_BASE;
+        return tomb
+            .insert(victim)
+            .then_some((now + REQUEUE_DELAY, REQUEUE_BASE + victim));
+    }
+    if tomb.contains(&ev) {
+        // A tombstoned victim still *arrives* (the queue has no delete);
+        // the handler records it as skipped and does no work.
+        log.push((now, SKIP_BASE + ev));
+        return None;
+    }
+    log.push((now, ev));
+    if ev >= 1000 {
+        return None;
+    }
+    match ev % 7 {
+        // Same instant: must run after every event already queued at
+        // this timestamp.
+        0 => Some((now, ev + 1000)),
+        // Short hop.
+        1 => Some((now + 100, ev + 2000)),
+        // 4096 µs ahead.
+        2 => Some((now + 4096, ev + 3000)),
+        // Tens of seconds ahead.
+        3 => Some((now + (1 << 25), ev + 4000)),
+        // Into the past: clamps to `now`, joining the in-flight timestamp
+        // from behind exactly like the same-instant case.
+        4 => Some((now.saturating_sub(1 + u64::from(ev)), ev + 5000)),
+        _ => None,
+    }
+}
+
+/// The program as a `World` over the scheduler under test. Follow-ups go
+/// through `at`, `immediately` or `after`, whichever fits their time.
+#[derive(Default)]
+struct Program {
+    log: Vec<(u64, u32)>,
+    tomb: HashSet<u32>,
+}
+
+impl World for Program {
+    type Event = u32;
+    fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+        let t = now.as_micros();
+        let Some((at, next)) = step(t, ev, &mut self.tomb, &mut self.log) else {
+            return;
+        };
+        match at.cmp(&t) {
+            std::cmp::Ordering::Less => sched.at(SimTime::from_micros(at), next),
+            std::cmp::Ordering::Equal => sched.immediately(next),
+            std::cmp::Ordering::Greater => sched.after(SimDuration::from_micros(at - t), next),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reference scheduler: one (time, seq)-ordered BinaryHeap, popped one
+// event at a time, running the same program.
 // ---------------------------------------------------------------------
 
 struct RefScheduled {
@@ -50,26 +150,28 @@ impl Ord for RefScheduled {
 struct RefScheduler {
     now: u64,
     seq: u64,
+    clamps: u64,
     heap: std::collections::BinaryHeap<RefScheduled>,
+    log: Vec<(u64, u32)>,
+    tomb: HashSet<u32>,
 }
 
 impl RefScheduler {
     fn at(&mut self, at: u64, ev: u32) {
-        let at = at.max(self.now);
+        let at = if at < self.now {
+            self.clamps += 1;
+            self.now
+        } else {
+            at
+        };
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(RefScheduled { at, seq, ev });
     }
 
-    /// Reference `run_until`: pops strictly-before-deadline events in
-    /// `(time, seq)` order, feeding each into `chain`, which may schedule
-    /// follow-ups exactly like a `World` handler.
-    fn run_until(
-        &mut self,
-        until: u64,
-        log: &mut Vec<(u64, u32)>,
-        chain: impl Fn(&mut RefScheduler, u64, u32),
-    ) -> StopReason {
+    /// Pops strictly-before-deadline events in `(time, seq)` order and
+    /// runs the program on each.
+    fn run_until(&mut self, until: u64) -> StopReason {
         loop {
             match self.heap.peek() {
                 None => return StopReason::QueueEmpty,
@@ -81,234 +183,133 @@ impl RefScheduler {
             }
             let sch = self.heap.pop().expect("peeked non-empty");
             self.now = sch.at;
-            log.push((sch.at, sch.ev));
-            chain(self, sch.at, sch.ev);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The event program both schedulers execute.
-// ---------------------------------------------------------------------
-
-/// The handler chain: some events schedule follow-ups, exercising
-/// same-instant `immediately` chains and relative `after` pushes whose
-/// deltas cross window and epoch boundaries.
-fn chain_spec(ev: u32) -> Option<(u64, u32)> {
-    match ev % 7 {
-        // Same-instant chain (delta 0): the follow-up must run after every
-        // event already queued at this timestamp.
-        0 => Some((0, ev + 1000)),
-        // Short hop within the L0 window.
-        1 => Some((100, ev + 2000)),
-        // Exactly one window (4096 µs) ahead.
-        2 => Some((4096, ev + 3000)),
-        // Beyond the current epoch (> 2^24 µs).
-        3 => Some((1 << 25, ev + 4000)),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fault-injection program: cancellation via tombstones + requeue.
-//
-// The platform's chaos layer cannot delete events already inside the
-// timer wheel; it tombstones the dead target and requeues the work as a
-// fresh event (see `fluidfaas::platform::engine`). These tests pin the
-// scheduler-level contract that pattern relies on: a tombstone set
-// consulted at delivery time, applied identically over the wheel and the
-// reference heap, yields identical logs, clocks and pending counts.
-// ---------------------------------------------------------------------
-
-/// Canceller ids: `CANCEL_BASE + v` tombstones victim `v` and requeues it.
-const CANCEL_BASE: u32 = 10_000;
-/// Requeued-copy ids.
-const REQUEUE_BASE: u32 = 20_000;
-/// Log marker for a victim delivered after its tombstone (skipped work).
-const SKIP_BASE: u32 = 30_000;
-/// Backoff before a requeued copy runs (µs); off the strata in
-/// `arb_time` so requeues interleave with unrelated events.
-const REQUEUE_DELAY: u64 = 257;
-
-/// One delivery under the tombstone protocol, shared verbatim by both
-/// schedulers. Returns a follow-up `(delay, id)` to schedule, if any.
-fn chaos_step(
-    now: u64,
-    ev: u32,
-    tomb: &mut std::collections::HashSet<u32>,
-    log: &mut Vec<(u64, u32)>,
-) -> Option<(u64, u32)> {
-    if (CANCEL_BASE..REQUEUE_BASE).contains(&ev) {
-        let victim = ev - CANCEL_BASE;
-        log.push((now, ev));
-        // First cancellation wins; a duplicate canceller is a no-op (the
-        // engine never requeues the same dead instance's work twice).
-        if tomb.insert(victim) {
-            return Some((REQUEUE_DELAY, REQUEUE_BASE + victim));
-        }
-        None
-    } else if ev >= REQUEUE_BASE {
-        log.push((now, ev));
-        None
-    } else if tomb.contains(&ev) {
-        // A tombstoned victim still *arrives* (the wheel has no delete);
-        // the handler records it as skipped and does no work.
-        log.push((now, SKIP_BASE + ev));
-        None
-    } else {
-        log.push((now, ev));
-        None
-    }
-}
-
-struct ChaosWorld {
-    log: Vec<(u64, u32)>,
-    tomb: std::collections::HashSet<u32>,
-}
-
-impl World for ChaosWorld {
-    type Event = u32;
-    fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        if let Some((delta, next)) = chaos_step(now.as_micros(), ev, &mut self.tomb, &mut self.log)
-        {
-            sched.after(SimDuration::from_micros(delta), next);
-        }
-    }
-}
-
-/// Reference `run_until` under the tombstone protocol.
-fn ref_run_chaos(
-    r: &mut RefScheduler,
-    until: u64,
-    tomb: &mut std::collections::HashSet<u32>,
-    log: &mut Vec<(u64, u32)>,
-) -> StopReason {
-    loop {
-        match r.heap.peek() {
-            None => return StopReason::QueueEmpty,
-            Some(top) if top.at >= until => {
-                r.now = until;
-                return StopReason::DeadlineReached;
-            }
-            Some(_) => {}
-        }
-        let sch = r.heap.pop().expect("peeked non-empty");
-        r.now = sch.at;
-        if let Some((delta, next)) = chaos_step(sch.at, sch.ev, tomb, log) {
-            r.at(sch.at + delta, next);
-        }
-    }
-}
-
-struct WheelWorld {
-    log: Vec<(u64, u32)>,
-}
-
-impl World for WheelWorld {
-    type Event = u32;
-    fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        self.log.push((now.as_micros(), ev));
-        // Chain only one generation deep (ids < 1000) so programs stay
-        // finite while still exercising handler-driven scheduling.
-        if ev < 1000 {
-            if let Some((delta, next)) = chain_spec(ev) {
-                if delta == 0 {
-                    sched.immediately(next);
-                } else {
-                    sched.after(SimDuration::from_micros(delta), next);
-                }
+            if let Some((at, next)) = step(sch.at, sch.ev, &mut self.tomb, &mut self.log) {
+                self.at(at, next);
             }
         }
     }
 }
 
-fn ref_chain(r: &mut RefScheduler, now: u64, ev: u32) {
-    if ev < 1000 {
-        if let Some((delta, next)) = chain_spec(ev) {
-            r.at(now + delta, next);
+// ---------------------------------------------------------------------
+// Both sides, loaded identically and driven in lockstep.
+// ---------------------------------------------------------------------
+
+#[derive(Default)]
+struct Pair {
+    sched: Scheduler<u32>,
+    world: Program,
+    reference: RefScheduler,
+}
+
+impl Pair {
+    /// A pair whose scheduler holds sorted `stream` as its preload, entry
+    /// `i` running event `i`; the reference receives the same events
+    /// first, since the stream holds the lowest seqs.
+    fn preloaded(stream: &[u64]) -> Self {
+        let mut p = Pair::default();
+        p.sched
+            .preload_sorted(stream.iter().map(|&t| SimTime::from_micros(t)), |i| {
+                i as u32
+            });
+        for (i, &t) in stream.iter().enumerate() {
+            p.reference.at(t, i as u32);
         }
+        p
+    }
+
+    fn push(&mut self, t: u64, ev: u32) {
+        self.sched.at(SimTime::from_micros(t), ev);
+        self.reference.at(t, ev);
+    }
+
+    /// Runs both sides to `until` and checks that everything observable
+    /// agrees.
+    fn run_until(&mut self, until: u64) -> Result<StopReason, String> {
+        let got = run_until(
+            &mut self.world,
+            &mut self.sched,
+            SimTime::from_micros(until),
+        );
+        let want = self.reference.run_until(until);
+        prop_assert_eq!(got, want, "stop reason at deadline {}", until);
+        prop_assert_eq!(&self.world.log, &self.reference.log);
+        prop_assert_eq!(&self.world.tomb, &self.reference.tomb);
+        prop_assert_eq!(self.sched.now().as_micros(), self.reference.now);
+        prop_assert_eq!(self.sched.pending(), self.reference.heap.len());
+        prop_assert_eq!(self.sched.clamps(), self.reference.clamps);
+        Ok(got)
+    }
+
+    /// Runs `deadlines` (sorted) as segments with one push from `extra`
+    /// after each, which may lie in the past and clamp, then drains both.
+    fn run_segments(&mut self, deadlines: &[u64], extra: &[u64]) -> Result<(), String> {
+        for (k, &until) in deadlines.iter().enumerate() {
+            self.run_until(until)?;
+            self.push(extra[k % extra.len()], 500 + k as u32);
+        }
+        prop_assert_eq!(self.run_until(u64::MAX)?, StopReason::QueueEmpty);
+        prop_assert_eq!(self.sched.pending(), 0);
+        Ok(())
     }
 }
 
-/// Timestamps drawn to collide often and to straddle the wheel's
-/// boundaries: slot-sized, window-sized and epoch-sized strata.
+/// Timestamps drawn to collide often (forcing multi-event batches and
+/// same-instant ties) and to spread from microseconds to minutes.
 fn arb_time() -> impl Strategy<Value = u64> {
     prop_oneof![
-        // Dense cluster inside one L0 window — forces FIFO ties.
+        // Dense cluster — forces FIFO ties.
         0u64..16,
-        // Around the 4096 µs window edge.
+        // A narrow band a few ms in.
         4090u64..4102,
-        // Anywhere in the first epoch.
+        // Anywhere in the first ~17 s.
         0u64..(1 << 24),
-        // Later epochs (far-heap territory).
+        // Up to ~4.5 min.
         (1u64 << 24)..(1 << 28),
     ]
 }
 
+/// Sorts `deadlines` after pinning the first to `pin`, so at least one
+/// boundary batch must stay queued (run_until deadlines are
+/// non-decreasing by contract).
+fn pinned(mut deadlines: Vec<u64>, pin: Option<u64>) -> Vec<u64> {
+    if let (Some(d), Some(t)) = (deadlines.first_mut(), pin) {
+        *d = t;
+    }
+    deadlines.sort_unstable();
+    deadlines
+}
+
 proptest! {
     /// Arbitrary pushes + handler chains execute in identical (time, seq)
-    /// order on the wheel and the reference heap.
+    /// order on the scheduler and the reference heap.
     #[test]
     fn wheel_matches_reference_heap(times in proptest::collection::vec(arb_time(), 1..40)) {
-        let mut wheel_world = WheelWorld { log: vec![] };
-        let mut wheel = Scheduler::new();
-        let mut reference = RefScheduler::default();
-        let mut ref_log = Vec::new();
+        let mut p = Pair::default();
         for (i, &t) in times.iter().enumerate() {
-            wheel.at(SimTime::from_micros(t), i as u32);
-            reference.at(t, i as u32);
+            p.push(t, i as u32);
         }
-        let wheel_stop = run_until(&mut wheel_world, &mut wheel, SimTime::MAX);
-        let ref_stop = reference.run_until(u64::MAX, &mut ref_log, ref_chain);
-        prop_assert_eq!(wheel_stop, ref_stop);
-        prop_assert_eq!(&wheel_world.log, &ref_log);
-        prop_assert_eq!(wheel.pending(), 0);
+        prop_assert_eq!(p.run_until(u64::MAX)?, StopReason::QueueEmpty);
+        prop_assert_eq!(p.sched.pending(), 0);
     }
 
     /// Multi-deadline runs agree too, including deadlines that land exactly
-    /// on queued timestamps (boundary events stay queued on both sides) and
-    /// pushes interleaved between segments.
+    /// on queued timestamps, cancellers, and pushes interleaved between
+    /// segments.
     #[test]
     fn segmented_runs_match_reference(
         times in proptest::collection::vec(arb_time(), 1..24),
+        cancels in proptest::collection::vec((arb_time(), 0u32..24), 0..8),
         deadlines in proptest::collection::vec(arb_time(), 1..6),
         extra in proptest::collection::vec(arb_time(), 3),
     ) {
-        let mut deadlines = deadlines;
-        // Make some deadlines exact event times (index-linked, arbitrary),
-        // then sort: run_until deadlines are non-decreasing by contract.
-        if let Some(d) = deadlines.first_mut() {
-            *d = times[0];
-        }
-        deadlines.sort_unstable();
-
-        let mut wheel_world = WheelWorld { log: vec![] };
-        let mut wheel = Scheduler::new();
-        let mut reference = RefScheduler::default();
-        let mut ref_log = Vec::new();
+        let mut p = Pair::default();
         for (i, &t) in times.iter().enumerate() {
-            wheel.at(SimTime::from_micros(t), i as u32);
-            reference.at(t, i as u32);
+            p.push(t, i as u32);
         }
-        for (k, &until) in deadlines.iter().enumerate() {
-            let ws = run_until(&mut wheel_world, &mut wheel, SimTime::from_micros(until));
-            let rs = reference.run_until(until, &mut ref_log, ref_chain);
-            prop_assert_eq!(ws, rs, "stop reason diverged at deadline {}", k);
-            prop_assert_eq!(&wheel_world.log, &ref_log);
-            prop_assert_eq!(wheel.now().as_micros(), reference.now);
-            prop_assert_eq!(wheel.pending(), reference.heap.len());
-            // Interleave a push between segments; past times clamp to now
-            // on both sides.
-            let t = extra[k % extra.len()];
-            let id = 500 + k as u32;
-            wheel.at(SimTime::from_micros(t), id);
-            reference.at(t, id);
+        for &(t, victim) in &cancels {
+            p.push(t, CANCEL_BASE + victim);
         }
-        let ws = run_until(&mut wheel_world, &mut wheel, SimTime::MAX);
-        let rs = reference.run_until(u64::MAX, &mut ref_log, ref_chain);
-        prop_assert_eq!(ws, rs);
-        prop_assert_eq!(&wheel_world.log, &ref_log);
-        prop_assert_eq!(wheel.pending(), 0);
+        p.run_segments(&pinned(deadlines, times.first().copied()), &extra)?;
     }
 
     /// The sorted bulk-load path is indistinguishable from individual
@@ -317,10 +318,10 @@ proptest! {
     fn preload_matches_pushes(times in proptest::collection::vec(arb_time(), 1..32)) {
         let mut times = times;
         times.sort_unstable();
-        let mut a_world = WheelWorld { log: vec![] };
+        let mut a_world = Program::default();
         let mut a = Scheduler::new();
         a.preload_sorted(times.iter().map(|&t| SimTime::from_micros(t)), |i| i as u32);
-        let mut b_world = WheelWorld { log: vec![] };
+        let mut b_world = Program::default();
         let mut b = Scheduler::new();
         for (i, &t) in times.iter().enumerate() {
             b.at(SimTime::from_micros(t), i as u32);
@@ -330,109 +331,62 @@ proptest! {
         prop_assert_eq!(&a_world.log, &b_world.log);
     }
 
-    /// A preloaded sorted stream merged with the wheel: stream entries,
-    /// absolute pushes and the handler chains they spawn, run across
-    /// multi-deadline segments with a push between segments, execute in
-    /// the reference heap's order when the reference receives the
-    /// preloaded events first (they hold the lowest seqs). Covers the
-    /// stream-first tie rule at shared timestamps, stream batches that
-    /// open new windows and epochs, and deadlines that fall between a
-    /// wheel bucket's window start and its events.
+    /// A preloaded sorted stream merged with the heap: stream entries,
+    /// absolute pushes, cancellers and the handler chains they spawn, run
+    /// across multi-deadline segments with a push between segments.
+    /// Covers the stream-first tie rule at shared timestamps and deadlines
+    /// pinned to exact stream and push timestamps.
     #[test]
     fn preloaded_stream_merges_with_wheel_like_reference(
         stream in proptest::collection::vec(arb_time(), 0..32),
         pushes in proptest::collection::vec(arb_time(), 0..16),
+        cancels in proptest::collection::vec((arb_time(), 0u32..32), 0..10),
         deadlines in proptest::collection::vec(arb_time(), 1..6),
         extra in proptest::collection::vec(arb_time(), 3),
     ) {
         let mut stream = stream;
         stream.sort_unstable();
         let mut deadlines = deadlines;
-        // Pin deadlines to exact stream and push timestamps, so boundary
-        // batches from both sources must stay queued.
-        if let (Some(d), Some(&t)) = (deadlines.first_mut(), stream.first()) {
-            *d = t;
-        }
         if let (Some(d), Some(&t)) = (deadlines.last_mut(), pushes.first()) {
             *d = t;
         }
-        deadlines.sort_unstable();
-
-        let mut wheel_world = WheelWorld { log: vec![] };
-        let mut wheel = Scheduler::new();
-        let mut reference = RefScheduler::default();
-        let mut ref_log = Vec::new();
-        wheel.preload_sorted(stream.iter().map(|&t| SimTime::from_micros(t)), |i| i as u32);
-        for (i, &t) in stream.iter().enumerate() {
-            reference.at(t, i as u32);
-        }
+        let mut p = Pair::preloaded(&stream);
         for (i, &t) in pushes.iter().enumerate() {
-            let id = 100 + i as u32;
-            wheel.at(SimTime::from_micros(t), id);
-            reference.at(t, id);
+            p.push(t, 100 + i as u32);
         }
-        prop_assert_eq!(wheel.pending(), reference.heap.len());
-        for (k, &until) in deadlines.iter().enumerate() {
-            let ws = run_until(&mut wheel_world, &mut wheel, SimTime::from_micros(until));
-            let rs = reference.run_until(until, &mut ref_log, ref_chain);
-            prop_assert_eq!(ws, rs, "stop reason diverged at deadline {}", k);
-            prop_assert_eq!(&wheel_world.log, &ref_log);
-            prop_assert_eq!(wheel.now().as_micros(), reference.now);
-            prop_assert_eq!(wheel.pending(), reference.heap.len());
-            let t = extra[k % extra.len()];
-            let id = 500 + k as u32;
-            wheel.at(SimTime::from_micros(t), id);
-            reference.at(t, id);
+        for &(t, victim) in &cancels {
+            p.push(t, CANCEL_BASE + victim);
         }
-        let ws = run_until(&mut wheel_world, &mut wheel, SimTime::MAX);
-        let rs = reference.run_until(u64::MAX, &mut ref_log, ref_chain);
-        prop_assert_eq!(ws, rs);
-        prop_assert_eq!(&wheel_world.log, &ref_log);
-        prop_assert_eq!(wheel.pending(), 0);
+        prop_assert_eq!(p.sched.pending(), p.reference.heap.len());
+        p.run_segments(&pinned(deadlines, stream.first().copied()), &extra)?;
     }
 
     /// Tombstone cancellation + requeue under fault injection: victims,
     /// cancellers (which tombstone a victim and requeue a copy), and
     /// post-tombstone deliveries (skipped) execute identically on the
-    /// wheel and the reference heap, across a mid-run deadline.
+    /// scheduler and the reference heap, across a mid-run deadline.
     #[test]
     fn tombstone_cancellation_matches_reference(
         victims in proptest::collection::vec(arb_time(), 1..24),
         cancels in proptest::collection::vec((arb_time(), 0usize..24), 0..12),
         mid in arb_time(),
     ) {
-        let mut world = ChaosWorld { log: vec![], tomb: Default::default() };
-        let mut wheel = Scheduler::new();
-        let mut reference = RefScheduler::default();
-        let mut ref_tomb = std::collections::HashSet::new();
-        let mut ref_log = Vec::new();
+        let mut p = Pair::default();
         for (i, &t) in victims.iter().enumerate() {
-            wheel.at(SimTime::from_micros(t), i as u32);
-            reference.at(t, i as u32);
+            p.push(t, i as u32);
         }
         for &(t, k) in &cancels {
             // Cancellers may land before, at, or after their victim's
             // delivery time — all three orders must agree.
-            let id = CANCEL_BASE + (k % victims.len()) as u32;
-            wheel.at(SimTime::from_micros(t), id);
-            reference.at(t, id);
+            p.push(t, CANCEL_BASE + (k % victims.len()) as u32);
         }
-        // Stop mid-run: pending counts must agree while tombstoned
-        // victims and requeued copies are still in flight.
-        let ws = run_until(&mut world, &mut wheel, SimTime::from_micros(mid));
-        let rs = ref_run_chaos(&mut reference, mid, &mut ref_tomb, &mut ref_log);
-        prop_assert_eq!(ws, rs);
-        prop_assert_eq!(&world.log, &ref_log);
-        prop_assert_eq!(wheel.now().as_micros(), reference.now);
-        prop_assert_eq!(wheel.pending(), reference.heap.len());
-        let ws = run_until(&mut world, &mut wheel, SimTime::MAX);
-        let rs = ref_run_chaos(&mut reference, u64::MAX, &mut ref_tomb, &mut ref_log);
-        prop_assert_eq!(ws, rs);
-        prop_assert_eq!(&world.log, &ref_log);
-        prop_assert_eq!(&world.tomb, &ref_tomb);
-        prop_assert_eq!(wheel.pending(), 0);
+        // Stop mid-run, while tombstoned victims and requeued copies are
+        // still in flight, then drain.
+        p.run_until(mid)?;
+        prop_assert_eq!(p.run_until(u64::MAX)?, StopReason::QueueEmpty);
         // Every cancelled victim produced exactly one requeued copy.
-        let requeues = world.log.iter().filter(|(_, e)| *e >= REQUEUE_BASE && *e < SKIP_BASE).count();
-        prop_assert_eq!(requeues, world.tomb.len());
+        let log = &p.world.log;
+        let requeues = log.iter().filter(|(_, e)| (REQUEUE_BASE..SKIP_BASE).contains(e)).count();
+        prop_assert_eq!(requeues, p.world.tomb.len());
     }
 }

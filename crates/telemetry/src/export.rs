@@ -124,18 +124,18 @@ mod tests {
 
     fn fixed_snapshot() -> PhaseSnapshot {
         let mut snap = PhaseSnapshot::default();
-        snap.cycles[Phase::WheelDrain as usize] = 1200;
-        snap.calls[Phase::WheelDrain as usize] = 3;
+        snap.cycles[Phase::QueueDrain as usize] = 1200;
+        snap.calls[Phase::QueueDrain as usize] = 3;
         snap.cycles[Phase::BatchDispatch as usize] = 800;
         snap.calls[Phase::BatchDispatch as usize] = 40;
         snap.paths = vec![
             PathStat {
-                path: vec![Phase::WheelDrain],
+                path: vec![Phase::QueueDrain],
                 cycles: 1200,
                 calls: 3,
             },
             PathStat {
-                path: vec![Phase::WheelDrain, Phase::BatchDispatch],
+                path: vec![Phase::QueueDrain, Phase::BatchDispatch],
                 cycles: 800,
                 calls: 40,
             },
@@ -150,7 +150,7 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(
             text,
-            "ffs;wheel_drain 1200\nffs;wheel_drain;batch_dispatch 800\n"
+            "ffs;queue_drain 1200\nffs;queue_drain;batch_dispatch 800\n"
         );
     }
 

@@ -49,9 +49,9 @@ pub enum Phase {
     TraceSynth = 0,
     /// Building engine state: catalog, fleet, slab, scheduler preload.
     EngineSetup = 1,
-    /// The batch event loop's wheel machinery: deadline probes, cursor
-    /// advances, batch extraction (`run_until` minus its children).
-    WheelDrain = 2,
+    /// The batch event loop's queue machinery: deadline probes and batch
+    /// extraction (`run_until` minus its children).
+    QueueDrain = 2,
     /// Draining one timestamp batch through `World::handle` (event
     /// handler bodies outside the more specific phases below).
     BatchDispatch = 3,
@@ -80,7 +80,7 @@ impl Phase {
     pub const ALL: [Phase; PHASE_COUNT] = [
         Phase::TraceSynth,
         Phase::EngineSetup,
-        Phase::WheelDrain,
+        Phase::QueueDrain,
         Phase::BatchDispatch,
         Phase::RoutingScan,
         Phase::PlanCacheLookup,
@@ -97,7 +97,7 @@ impl Phase {
         match self {
             Phase::TraceSynth => "trace_synth",
             Phase::EngineSetup => "engine_setup",
-            Phase::WheelDrain => "wheel_drain",
+            Phase::QueueDrain => "queue_drain",
             Phase::BatchDispatch => "batch_dispatch",
             Phase::RoutingScan => "routing_scan",
             Phase::PlanCacheLookup => "plan_cache_lookup",
@@ -513,7 +513,7 @@ mod tests {
         crate::set_enabled(true);
         reset_for_tests();
         {
-            let _a = span(Phase::WheelDrain);
+            let _a = span(Phase::QueueDrain);
             let _b = span(Phase::BatchDispatch);
             let _c = span(Phase::RoutingScan);
         }
@@ -526,7 +526,7 @@ mod tests {
             .expect("three-deep path recorded");
         assert_eq!(
             deep.path,
-            vec![Phase::WheelDrain, Phase::BatchDispatch, Phase::RoutingScan]
+            vec![Phase::QueueDrain, Phase::BatchDispatch, Phase::RoutingScan]
         );
         assert_eq!(deep.calls, 1);
     }

@@ -41,8 +41,8 @@ ffs_demo_requests_total 3
 #[test]
 fn phase_exposition_matches_golden() {
     let mut snap = PhaseSnapshot::default();
-    snap.cycles[Phase::WheelDrain as usize] = 1200;
-    snap.calls[Phase::WheelDrain as usize] = 3;
+    snap.cycles[Phase::QueueDrain as usize] = 1200;
+    snap.calls[Phase::QueueDrain as usize] = 3;
     snap.cycles[Phase::BatchDispatch as usize] = 800;
     snap.calls[Phase::BatchDispatch as usize] = 40;
     snap.depth_overflows = 2;
@@ -51,7 +51,7 @@ fn phase_exposition_matches_golden() {
 # TYPE ffs_phase_self_cycles_total counter
 ffs_phase_self_cycles_total{phase=\"trace_synth\"} 0
 ffs_phase_self_cycles_total{phase=\"engine_setup\"} 0
-ffs_phase_self_cycles_total{phase=\"wheel_drain\"} 1200
+ffs_phase_self_cycles_total{phase=\"queue_drain\"} 1200
 ffs_phase_self_cycles_total{phase=\"batch_dispatch\"} 800
 ffs_phase_self_cycles_total{phase=\"routing_scan\"} 0
 ffs_phase_self_cycles_total{phase=\"plan_cache_lookup\"} 0
@@ -64,7 +64,7 @@ ffs_phase_self_cycles_total{phase=\"route_index_maint\"} 0
 # TYPE ffs_phase_calls_total counter
 ffs_phase_calls_total{phase=\"trace_synth\"} 0
 ffs_phase_calls_total{phase=\"engine_setup\"} 0
-ffs_phase_calls_total{phase=\"wheel_drain\"} 3
+ffs_phase_calls_total{phase=\"queue_drain\"} 3
 ffs_phase_calls_total{phase=\"batch_dispatch\"} 40
 ffs_phase_calls_total{phase=\"routing_scan\"} 0
 ffs_phase_calls_total{phase=\"plan_cache_lookup\"} 0
