@@ -64,10 +64,9 @@ impl Router for BaselineRouter {
         sched: &mut Scheduler<Event>,
     ) {
         while let Some(&req) = core.pending[f].front() {
-            let slo = core.catalog.slo_ms(f);
             let chosen: Option<InstanceId> = match self.kind {
                 // Deadline-aware: lowest-latency instance with capacity.
-                BaselineKind::Esg => lowest_latency_instance(core, f, slo),
+                BaselineKind::Esg => lowest_latency_instance(core, f),
                 // FIFO: first instance (by id) with capacity. The routing
                 // index is exactly the admissible set in ascending id
                 // order, so its head is the same winner the filtered
@@ -80,7 +79,8 @@ impl Router for BaselineRouter {
                         .map(|&idx| InstanceId(idx as u64));
                     debug_assert_eq!(
                         head,
-                        core.instances_of[f]
+                        core.instances
+                            .ids_of(f)
                             .iter()
                             .copied()
                             .find(|&id| core.instances.has_admission_capacity(id)),

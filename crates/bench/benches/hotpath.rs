@@ -116,9 +116,9 @@ fn scan_slab(n: u64) -> InstanceSlab {
         slab.set_phase(&InstanceId(id), Phase::Ready);
         // A third of the fleet sits at its admission bound.
         if id % 3 == 0 {
-            for _ in 0..10 {
-                slab.note_admitted(InstanceId(id));
-                slab.get_mut(&InstanceId(id)).unwrap().stage_queues[0].push_back(0);
+            for req in 0..10 {
+                slab.admit(InstanceId(id), req, SimTime::ZERO);
+                slab.start_stage(InstanceId(id), 0, SimTime::ZERO);
             }
         }
     }

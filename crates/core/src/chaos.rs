@@ -83,31 +83,6 @@ impl FaultSpec {
         }
     }
 
-    /// Reads the spec from `FFS_FAULT_*` environment variables (unset
-    /// variables keep the disabled defaults): `FFS_FAULT_SEED`,
-    /// `FFS_FAULT_SLICE_MTBF`, `FFS_FAULT_GPU_MTBF`, `FFS_FAULT_NODE_MTBF`
-    /// (seconds), `FFS_FAULT_RECOVERY` (seconds), `FFS_FAULT_RETRY_BASE_MS`,
-    /// `FFS_FAULT_RETRY_CAP_MS`, `FFS_FAULT_MAX_RETRIES`.
-    pub fn from_env() -> Self {
-        fn get<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name)
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(default)
-        }
-        let d = Self::disabled();
-        FaultSpec {
-            seed: get("FFS_FAULT_SEED", d.seed),
-            slice_mtbf_secs: get("FFS_FAULT_SLICE_MTBF", d.slice_mtbf_secs),
-            gpu_mtbf_secs: get("FFS_FAULT_GPU_MTBF", d.gpu_mtbf_secs),
-            node_mtbf_secs: get("FFS_FAULT_NODE_MTBF", d.node_mtbf_secs),
-            recovery_secs: get("FFS_FAULT_RECOVERY", d.recovery_secs),
-            retry_base_ms: get("FFS_FAULT_RETRY_BASE_MS", d.retry_base_ms),
-            retry_cap_ms: get("FFS_FAULT_RETRY_CAP_MS", d.retry_cap_ms),
-            max_retries: get("FFS_FAULT_MAX_RETRIES", d.max_retries),
-        }
-    }
-
     /// True if any failure class is active.
     pub fn enabled(&self) -> bool {
         self.slice_mtbf_secs > 0.0 || self.gpu_mtbf_secs > 0.0 || self.node_mtbf_secs > 0.0

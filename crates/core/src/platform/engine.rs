@@ -153,19 +153,12 @@ pub struct EngineCore {
     pub last_use: Vec<SimTime>,
     /// End of the simulation (trace end + drain).
     pub horizon: SimTime,
-    /// Largest number of concurrent exclusive instances seen.
-    pub peak_instances: usize,
     /// Largest number of concurrent pipelined instances seen.
     pub peak_pipelines: usize,
     /// Decision counters for this run.
     pub sched_log: SchedulerLog,
     /// Memoized launch plans, invalidated on any slice alloc/free.
     pub plan_cache: PlanCache,
-    /// Live exclusive instances of each function, in ascending instance-id
-    /// order (ids are assigned monotonically, so a push keeps the order).
-    /// The per-function index mirrors `instances` exactly; routing and
-    /// scaling iterate it instead of filtering the whole map.
-    pub instances_of: Vec<Vec<InstanceId>>,
     /// Live pipelined (non-monolithic) instance count.
     pub pipeline_count: usize,
     /// Functions the per-tick loops must visit, ascending. A function
@@ -301,11 +294,9 @@ impl EngineCore {
             last_use: vec![SimTime::ZERO; n],
             catalog,
             horizon,
-            peak_instances: 0,
             peak_pipelines: 0,
             sched_log: SchedulerLog::default(),
             plan_cache: PlanCache::new(),
-            instances_of: vec![Vec::new(); n],
             pipeline_count: 0,
             active_funcs: Vec::with_capacity(n),
             is_active: vec![false; n],
@@ -376,10 +367,10 @@ impl EngineCore {
     /// ignores Cold lineages, and routing an empty backlog returns
     /// immediately — so skipping it cannot move a single output bit.
     pub fn sweep_inactive(&mut self) {
-        let (is_active, pending, instances_of, ka, demand, pool) = (
+        let (is_active, pending, instances, ka, demand, pool) = (
             &mut self.is_active,
             &self.pending,
-            &self.instances_of,
+            &self.instances,
             &self.ka,
             &self.demand_rps,
             &self.pool,
@@ -387,7 +378,7 @@ impl EngineCore {
         self.active_funcs.retain(|&f| {
             let resting = demand[f] == 0.0
                 && pending[f].is_empty()
-                && instances_of[f].is_empty()
+                && instances.ids_of(f).is_empty()
                 && matches!(ka[f], KeepAliveState::Cold)
                 && pool.slot_of(f).is_none();
             if resting {
@@ -429,31 +420,11 @@ impl EngineCore {
         now: SimTime,
         sched: &mut Scheduler<Event>,
     ) {
-        let Some(inst) = self.instances.get_mut(&id) else {
+        let Some((req, inst)) = self.instances.start_stage(id, stage, now) else {
             return;
         };
-        if !inst.is_ready() && !matches!(inst.phase, Phase::Draining) {
-            return;
-        }
-        if inst.stage_busy[stage].is_some() {
-            return;
-        }
-        let Some(req) = inst.stage_queues[stage].pop_front() else {
-            return;
-        };
-        inst.stage_busy[stage] = Some(req);
-        inst.mark_busy(now);
-        if stage == 0 {
-            let path = if inst.plan.is_monolithic() {
-                super::request::ServePath::Monolithic
-            } else {
-                super::request::ServePath::Pipelined
-            };
-            self.requests[req as usize].served = Some(path);
-        }
         let f = inst.func;
         let slice = inst.plan.stages[stage].slice;
-        let gpcs = inst.plan.stages[stage].profile.gpcs();
         let mono = inst.plan.is_monolithic();
         // Stage timing constants were computed once at launch; the
         // per-request path copies them instead of cloning the stage's node
@@ -461,9 +432,16 @@ impl EngineCore {
         let exec_ms = inst.timings.exec_ms[stage];
         let handoff_ms = inst.timings.handoff_ms[stage];
         let service = inst.timings.service[stage];
-        self.instances.note_stage_started(id, gpcs);
-        self.requests[req as usize].exec_ms += exec_ms;
-        self.requests[req as usize].transfer_ms += handoff_ms;
+        let request = &mut self.requests[req as usize];
+        if stage == 0 {
+            request.served = Some(if mono {
+                super::request::ServePath::Monolithic
+            } else {
+                super::request::ServePath::Pipelined
+            });
+        }
+        request.exec_ms += exec_ms;
+        request.transfer_ms += handoff_ms;
         self.hub.slice_active(now, slice);
         if ffs_obs::enabled() {
             if stage == 0 {
@@ -507,12 +485,8 @@ impl EngineCore {
         now: SimTime,
         sched: &mut Scheduler<Event>,
     ) -> Option<FuncId> {
-        let inst = self.instances.get_mut(&id)?;
-        debug_assert_eq!(inst.stage_busy[stage], Some(req));
-        inst.stage_busy[stage] = None;
-        inst.last_used = now;
+        let inst = self.instances.finish_stage(id, stage, req, now)?;
         let slice = inst.plan.stages[stage].slice;
-        let gpcs = inst.plan.stages[stage].profile.gpcs();
         let last = stage + 1 == inst.plan.num_stages();
         let f = inst.func;
         // Boundary-transfer time was precomputed at launch (unused when
@@ -531,9 +505,6 @@ impl EngineCore {
         } else {
             // Boundary transfer through host shared memory.
             self.requests[req as usize].transfer_ms += transfer_ms;
-            if let Some(inst) = self.instances.get_mut(&id) {
-                inst.in_transfer += 1;
-            }
             sched.after(
                 transfer,
                 Event::TransferDone {
@@ -543,19 +514,12 @@ impl EngineCore {
                 },
             );
         }
-        // Hot columns: the stage's GPCs freed; on the final stage the
-        // request left the instance (a mid-pipeline request moves from
-        // stage-busy to in-transfer, leaving occupancy unchanged).
-        self.instances.note_stage_finished(id, gpcs, last);
         // Keep the stage fed, then refill from the function backlog.
         self.try_start_stage(id, stage, now, sched);
-        if let Some(inst) = self.instances.get_mut(&id) {
-            if inst.is_empty() {
-                inst.mark_idle(now);
-            }
-            if inst.phase == Phase::Draining && inst.is_empty() {
-                self.retire_instance(id, now);
-            }
+        if self.instances.phase_tag(id) == PhaseTag::Draining
+            && self.instances.occupancy_of(id) == 0
+        {
+            self.retire_instance(id, now);
         }
         Some(f)
     }
@@ -635,7 +599,6 @@ impl EngineCore {
         let profile = self.catalog.profile(f);
         let est = estimate(profile, &plan);
         let timings = StageTimings::compute(profile, &plan);
-        self.peak_instances = self.peak_instances.max(self.instances.len() + 1);
         if !plan.is_monolithic() {
             self.pipeline_count += 1;
             self.peak_pipelines = self.peak_pipelines.max(self.pipeline_count);
@@ -663,9 +626,6 @@ impl EngineCore {
             Instance::new(id, f, plan, est, timings, node, now, ready_at),
             self.catalog.slo_ms(f),
         );
-        // Ids are assigned monotonically, so pushing keeps the
-        // per-function index in ascending-id (== BTreeMap) order.
-        self.instances_of[f].push(id);
         sched.at(ready_at, Event::InstanceReady(id));
         id
     }
@@ -674,81 +634,60 @@ impl EngineCore {
     /// function's last exclusive instance the keep-alive lineage drops to
     /// time sharing (③) — a no-op for lineages that never left Cold.
     pub fn retire_instance(&mut self, id: InstanceId, now: SimTime) {
-        let Some(inst) = self.instances.remove(&id) else {
+        let Some(inst) = self.teardown(id, now) else {
             return;
         };
+        debug_assert!(inst.is_empty(), "retiring a non-empty instance");
         self.sched_log.retirements += 1;
+    }
+
+    /// Retirement's and failure's shared teardown: removes instance `id`,
+    /// releases its slices (intervals close at `now`), invalidates the
+    /// plan cache, and drops the function's keep-alive lineage to time
+    /// sharing when this was its last exclusive instance. Returns the
+    /// removed record, or `None` if `id` is not live.
+    fn teardown(&mut self, id: InstanceId, now: SimTime) -> Option<Instance> {
+        let inst = self.instances.remove(&id)?;
+        let f = inst.func;
         ffs_obs::record(|| ffs_obs::ObsEvent::InstanceRetired {
             inst: id.0,
-            func: inst.func as u32,
+            func: f as u32,
         });
-        debug_assert!(inst.is_empty(), "retiring a non-empty instance");
         for s in &inst.plan.stages {
-            // Infallible: the instance held these slices since launch and
-            // nothing else can release an instance-owned slice.
+            // Infallible: the instance held these slices since launch,
+            // nothing else can release an instance-owned slice, and an
+            // allocated slice cannot fail (a fault kills its owner first).
             self.fleet.release(s.slice).expect("allocated slice");
             self.hub.slice_released(now, s.slice);
         }
         self.plan_cache.invalidate();
-        let f = inst.func;
         if !inst.plan.is_monolithic() {
             debug_assert!(self.pipeline_count > 0);
             self.pipeline_count -= 1;
         }
-        let ids = &mut self.instances_of[f];
-        // Infallible: the per-function index mirrors the slab exactly, and
-        // the slab remove above proved the instance was live.
-        let pos = ids.iter().position(|&x| x == id).expect("indexed instance");
-        ids.remove(pos);
-        if ids.is_empty() {
+        if self.instances.ids_of(f).is_empty() {
             self.ka[f] = self.ka[f].next_traced(Transition::UtilizationLow, f as u32);
         }
+        Some(inst)
     }
 
     // ------------------------------------------------------------------
     // Fault injection (ffs-chaos)
     // ------------------------------------------------------------------
 
-    /// Kills an instance whose slice failed: releases all of its slices
-    /// (intervals close at `now`), updates every index `retire_instance`
-    /// maintains, and returns the requests that were queued, executing,
-    /// or mid-transfer inside it — in (busy stages ascending, then queued
-    /// stages ascending) order — for the caller to retry. Unlike
-    /// retirement, the instance may be non-empty.
+    /// Kills an instance whose slice failed: tears it down like a
+    /// retirement and returns the requests that were queued or executing
+    /// inside it — in (busy stages ascending, then queued stages
+    /// ascending) order — for the caller to retry. Unlike retirement, the
+    /// instance may be non-empty.
     pub fn fail_instance(&mut self, id: InstanceId, now: SimTime) -> Vec<u64> {
-        let Some(inst) = self.instances.remove(&id) else {
+        let Some(inst) = self.teardown(id, now) else {
             return Vec::new();
         };
-        ffs_obs::record(|| ffs_obs::ObsEvent::InstanceRetired {
-            inst: id.0,
-            func: inst.func as u32,
-        });
-        for s in &inst.plan.stages {
-            if self.fleet.release(s.slice).is_ok() {
-                self.hub.slice_released(now, s.slice);
-            }
-        }
-        self.plan_cache.invalidate();
-        let f = inst.func;
-        if !inst.plan.is_monolithic() {
-            debug_assert!(self.pipeline_count > 0);
-            self.pipeline_count -= 1;
-        }
-        if let Some(pos) = self.instances_of[f].iter().position(|&x| x == id) {
-            self.instances_of[f].remove(pos);
-        }
-        if self.instances_of[f].is_empty() {
-            self.ka[f] = self.ka[f].next_traced(Transition::UtilizationLow, f as u32);
-        }
         // Stale StageDone/TransferDone events for this instance are
         // classified against this list.
         self.chaos.killed.push(id.0);
-        let mut reqs = Vec::new();
-        for b in &inst.stage_busy {
-            if let Some(r) = *b {
-                reqs.push(r);
-            }
-        }
+        let mut reqs: Vec<u64> = inst.stage_busy.iter().flatten().copied().collect();
         for q in &inst.stage_queues {
             reqs.extend(q.iter().copied());
         }
@@ -919,7 +858,8 @@ impl EngineCore {
 
     /// Aggregate serving capacity (req/s) of `f`'s non-draining instances.
     pub fn capacity_rps(&self, f: FuncId) -> f64 {
-        self.instances_of[f]
+        self.instances
+            .ids_of(f)
             .iter()
             .filter(|&&id| self.instances.phase_tag(id) != PhaseTag::Draining)
             .map(|&id| self.instances.throughput_rps_of(id))
@@ -936,7 +876,7 @@ impl EngineCore {
             .copied()
             .filter(|&f| {
                 !self.pending[f].is_empty()
-                    && self.instances_of[f].is_empty()
+                    && self.instances.ids_of(f).is_empty()
                     && self.pool.slot_of(f).is_none()
             })
             .collect()
@@ -956,7 +896,7 @@ impl EngineCore {
         // scratch vector.
         let mut live_sum = 0.0;
         let mut live_count = 0u32;
-        for &id in &self.instances_of[f] {
+        for &id in self.instances.ids_of(f) {
             if self.instances.phase_tag(id) != PhaseTag::Draining {
                 live_sum += self.instances.throughput_rps_of(id);
                 live_count += 1;
@@ -1099,9 +1039,8 @@ impl Engine {
     #[inline]
     fn on_instance_ready(&mut self, now: SimTime, id: InstanceId, sched: &mut Scheduler<Event>) {
         let Engine { core, policies } = self;
-        let f = match core.instances.get(&id) {
-            Some(inst) => inst.func,
-            None => return,
+        let Some(f) = core.instances.get(&id).map(|inst| inst.func) else {
+            return;
         };
         core.instances.set_phase(&id, Phase::Ready);
         if !core.pending[f].is_empty() {
@@ -1144,10 +1083,7 @@ impl Engine {
         sched: &mut Scheduler<Event>,
     ) {
         let core = &mut self.core;
-        if let Some(instance) = core.instances.get_mut(&inst) {
-            debug_assert!(instance.in_transfer > 0);
-            instance.in_transfer -= 1;
-            instance.stage_queues[stage].push_back(req);
+        if core.instances.land_transfer(inst, stage, req) {
             core.try_start_stage(inst, stage, now, sched);
         } else if core.chaos.was_killed(inst.0) {
             // The instance died mid-transfer (fault injection).
@@ -1481,10 +1417,11 @@ impl Platform for Engine {
             core.hub.log.len(),
             core.requests.len()
         );
-        // Satellite: interval-clamp regression guard. A fault-free run has
-        // no out-of-order interval closes, so every `saturating_since`
-        // clamp the cost tracker counted indicates a bookkeeping bug.
-        debug_assert!(
+        // Interval-clamp guard: a fault-free run has no out-of-order
+        // interval closes, so every `saturating_since` clamp the cost
+        // tracker counted indicates a bookkeeping bug. Checked in release
+        // builds too.
+        assert!(
             self.core.chaos.enabled || self.core.hub.cost.clamps() == 0,
             "fault-free run clamped {} cost intervals",
             self.core.hub.cost.clamps()

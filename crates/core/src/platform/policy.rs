@@ -172,16 +172,13 @@ pub fn route_to_instance(
     now: SimTime,
     sched: &mut Scheduler<Event>,
 ) {
-    // Routers only pass ids they just read from `instances_of`, and nothing
-    // retires an instance between the read and this call; stay total anyway
-    // so a policy bug degrades to a dropped route, not a crash.
-    let Some(inst) = core.instances.get_mut(&id) else {
+    // Routers only pass ids they just read from the routing index, and
+    // nothing retires an instance between the read and this call; stay total
+    // anyway so a policy bug degrades to a dropped route, not a crash.
+    if !core.instances.admit(id, req, now) {
         debug_assert!(false, "routed to a retired instance");
         return;
-    };
-    inst.stage_queues[0].push_back(req);
-    inst.last_used = now;
-    core.instances.note_admitted(id);
+    }
     core.try_start_stage(id, 0, now, sched);
 }
 
@@ -193,11 +190,10 @@ pub fn route_to_instance(
 /// filter over every instance of `f`. The index is ascending by id and
 /// the argmin uses strict `<`, so the first-best tie winner is identical
 /// to the full scan's ([`lowest_latency_full_scan`], `debug_assert`ed
-/// equal here and pinned by `proptest_route_index`).
-///
-/// `_slo_ms` documents the admission bound's input; the bound itself is
-/// precomputed per instance (SLO and bottleneck are both fixed at launch).
-pub fn lowest_latency_instance(core: &EngineCore, f: FuncId, _slo_ms: f64) -> Option<InstanceId> {
+/// equal here and pinned by `proptest_route_index`). The SLO admission
+/// bound is precomputed per instance (SLO and bottleneck are both fixed at
+/// launch).
+pub fn lowest_latency_instance(core: &EngineCore, f: FuncId) -> Option<InstanceId> {
     let mut best: Option<(InstanceId, f64)> = None;
     for &idx in core.instances.admissible_of(f) {
         let id = InstanceId(idx as u64);
@@ -226,7 +222,7 @@ pub fn lowest_latency_instance(core: &EngineCore, f: FuncId, _slo_ms: f64) -> Op
 /// `debug_assert` above and `proptest_route_index` compare against it.
 pub fn lowest_latency_full_scan(core: &EngineCore, f: FuncId) -> Option<InstanceId> {
     let mut best: Option<(InstanceId, f64)> = None;
-    for &id in &core.instances_of[f] {
+    for &id in core.instances.ids_of(f) {
         if core.instances.has_admission_capacity(id) {
             let lat = core.instances.latency_ms_of(id);
             let better = match best {
@@ -281,7 +277,7 @@ pub fn exclusive_view(core: &EngineCore, f: FuncId) -> ExclusiveView {
     let v = core.instances.exclusive_view(f);
     debug_assert_eq!(
         v,
-        exclusive_view_scan(&core.instances, &core.instances_of[f]),
+        exclusive_view_scan(&core.instances, core.instances.ids_of(f)),
         "exclusive-fleet summary disagrees with the scan for function {f}"
     );
     v

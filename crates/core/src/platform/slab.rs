@@ -2,17 +2,21 @@
 //! slab instead of an ordered map.
 //!
 //! Instance ids are handed out by a monotonic counter and never reused,
-//! so `InstanceId(n)` can index a `Vec` directly: every lookup on the
-//! per-event hot path (routing, stage completion, transfers) is one
-//! bounds-checked array access instead of a `BTreeMap` descent. Iteration
-//! walks the slots in index order, which is exactly the ascending-id
-//! order the `BTreeMap` used to give — policy code that depends on
-//! first-by-id tie-breaking (FIFO routing, global retire sweeps) is
-//! unaffected by the swap.
+//! so `InstanceId(n)` indexes a `Vec` directly, and iteration in slot
+//! order is ascending-id order — the first-by-id tie-breaking policy code
+//! relies on (FIFO routing, global retire sweeps). Slots of retired
+//! instances stay as `None` tombstones; the vector's length is the highest
+//! id ever live, which stays small (hundreds) for any realistic run
+//! because launches are rate-limited per scale tick.
 //!
-//! Slots of retired instances stay as `None` tombstones; the vector's
-//! length is the highest id ever live, which stays small (hundreds) for
-//! any realistic run because launches are rate-limited per scale tick.
+//! The slab is the only code that changes a live instance: there is no
+//! mutable access to a stored record. Each transition — `insert`,
+//! `remove`, `set_phase`, `admit`, `start_stage`, `finish_stage`,
+//! `land_transfer`, `take_utilization` — updates the record and every
+//! view derived from it together: the hot columns, the per-function id
+//! lists ([`ids_of`](InstanceSlab::ids_of), ascending), the routing index
+//! and the exclusive-fleet summary. `debug_assert_hot_consistent`
+//! re-derives every view from the records in debug builds.
 //!
 //! ## Hot columns (SoA)
 //!
@@ -31,11 +35,6 @@
 //!   estimate, copied from `est` (immutable after launch),
 //! * `busy_gpcs` — GPCs of the instance's currently executing stages.
 //!
-//! The engine keeps the mutable columns in sync at the few sites where the
-//! underlying quantity changes (admission, stage start/finish, phase
-//! transitions); `debug_assert_hot_consistent` re-derives every column
-//! from the records in debug builds.
-//!
 //! ## Routing index
 //!
 //! On top of the columns the slab maintains the *routing index*: one
@@ -44,14 +43,12 @@
 //! Routing reads the candidate list directly — O(candidates) instead of a
 //! filter over every instance of the function — and the list's ascending
 //! order preserves the first-best-by-id tie-breaking of the scan it
-//! replaces. Membership can only change where the inputs change, so the
-//! index is maintained at the same five sites that keep the columns in
-//! sync: `insert`, `remove`, `set_phase`, `note_admitted` (a request
-//! saturating the bound leaves the index) and `note_stage_finished` (a
-//! departure from a saturated instance re-enters it).
-//! `debug_assert_hot_consistent` re-derives the whole index in debug
-//! builds, and `crates/core/tests/proptest_route_index.rs` pins
-//! index-vs-scan equivalence on random mutation sequences.
+//! replaces. Membership can only change where a phase or an occupancy
+//! changes, so only `insert`, `remove`, `set_phase`, `admit` (a request
+//! saturating the bound leaves the index) and `finish_stage` (a departure
+//! from a saturated instance re-enters it) touch it.
+//! `crates/core/tests/proptest_route_index.rs` pins index-vs-scan
+//! equivalence on random transition sequences.
 //!
 //! ## Exclusive-fleet summary
 //!
@@ -59,16 +56,18 @@
 //! function's exclusive fleet — ready and launching counts, occupancy
 //! summed over the ready instances, and the lowest ready bottleneck and
 //! latency estimates — for nearly every request under backlog. The slab
-//! keeps that aggregate per function ([`ExclusiveView`]) and updates it at
-//! the same five sites as the routing index, so reading it is O(1). Counts
-//! and the occupancy sum move by exact integer deltas. A minimum only
-//! improves while instances join the ready set; when the ready instance
-//! holding it leaves, the minimum is recomputed over the function's
-//! remaining ready ids. The minimum of a finite set of finite `f64`s does
-//! not depend on the order it is taken in, so the summary is bit-identical
-//! to the ascending-id scan it replaces
+//! keeps that aggregate per function ([`ExclusiveView`]) and updates it in
+//! the same transitions as the routing index, so reading it is O(1).
+//! Counts and the occupancy sum move by exact integer deltas. A minimum
+//! only improves while instances join the ready set; when the ready
+//! instance holding it leaves, the minimum is recomputed over the
+//! function's other `Ready` ids. The minimum of a finite set of finite
+//! `f64`s does not depend on the order it is taken in, so the summary is
+//! bit-identical to the ascending-id scan it replaces
 //! ([`exclusive_view_scan`](super::policy::exclusive_view_scan), compared
 //! by a `debug_assert_eq` and the proptest above).
+
+use ffs_sim::{SimDuration, SimTime};
 
 use crate::instance::{Instance, Phase};
 use crate::platform::catalog::FuncId;
@@ -115,16 +114,15 @@ pub struct InstanceSlab {
     throughput_rps: Vec<f64>,
     busy_gpcs: Vec<u32>,
     /// Function of each slot ([`NO_FUNC`] for tombstones) — what lets the
-    /// mutators below index the right candidate list.
+    /// transitions index the right per-function lists.
     func: Vec<usize>,
+    /// Live instance ids of each function, ascending.
+    ids: Vec<Vec<InstanceId>>,
     /// The routing index: per-function ascending-id lists of admissible
     /// instances (see the module docs).
     admissible: Vec<Vec<u32>>,
     /// The exclusive-fleet summary of each function (see the module docs).
     summary: Vec<ExclusiveView>,
-    /// Ready instance ids of each function, in no particular order — what
-    /// a minimum is recomputed over when its holder leaves the ready set.
-    ready_ids: Vec<Vec<u32>>,
 }
 
 impl InstanceSlab {
@@ -149,10 +147,11 @@ impl InstanceSlab {
         self.slots.get(id.0 as usize).and_then(Option::as_ref)
     }
 
-    /// Mutable access to the live instance with id `id`, if any.
+    /// The live record under `idx`; transitions are only called on live
+    /// instances.
     #[inline]
-    pub fn get_mut(&mut self, id: &InstanceId) -> Option<&mut Instance> {
-        self.slots.get_mut(id.0 as usize).and_then(Option::as_mut)
+    fn record_mut(&mut self, idx: usize) -> &mut Instance {
+        self.slots[idx].as_mut().expect("live instance")
     }
 
     /// Inserts an instance under `id`, deriving its hot columns (the
@@ -179,19 +178,19 @@ impl InstanceSlab {
         self.latency_ms[idx] = inst.est.latency_ms;
         self.bottleneck_ms[idx] = inst.est.bottleneck_ms;
         self.throughput_rps[idx] = inst.est.throughput_rps;
-        self.busy_gpcs[idx] = inst
-            .stage_busy
-            .iter()
-            .zip(&inst.plan.stages)
-            .filter(|(b, _)| b.is_some())
-            .map(|(_, s)| s.profile.gpcs())
-            .sum();
-        self.func[idx] = inst.func;
-        if inst.func >= self.admissible.len() {
-            self.admissible.resize_with(inst.func + 1, Vec::new);
-            self.summary.resize(inst.func + 1, ExclusiveView::EMPTY);
-            self.ready_ids.resize_with(inst.func + 1, Vec::new);
+        self.busy_gpcs[idx] = busy_gpcs_of(&inst);
+        let f = inst.func;
+        self.func[idx] = f;
+        if f >= self.ids.len() {
+            self.ids.resize_with(f + 1, Vec::new);
+            self.admissible.resize_with(f + 1, Vec::new);
+            self.summary.resize(f + 1, ExclusiveView::EMPTY);
         }
+        // The engine's ids are monotonic, so this is a push; the search
+        // keeps the list ascending for any insertion order.
+        let ids = &mut self.ids[f];
+        let pos = ids.partition_point(|&x| x < id);
+        ids.insert(pos, id);
         self.slots[idx] = Some(inst);
         self.live += 1;
         self.index_update(idx, false);
@@ -203,8 +202,7 @@ impl InstanceSlab {
         let taken = self.slots.get_mut(id.0 as usize).and_then(Option::take);
         if taken.is_some() {
             let idx = id.0 as usize;
-            let was =
-                self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
+            let was = self.admissible_at(idx);
             self.summary_leave(idx);
             self.phase[idx] = PhaseTag::Empty;
             self.occupancy[idx] = 0;
@@ -214,6 +212,9 @@ impl InstanceSlab {
             self.throughput_rps[idx] = 0.0;
             self.busy_gpcs[idx] = 0;
             self.index_update(idx, was);
+            let ids = &mut self.ids[self.func[idx]];
+            let pos = ids.binary_search(id).expect("live instance is listed");
+            ids.remove(pos);
             self.func[idx] = NO_FUNC;
             self.live -= 1;
         }
@@ -224,14 +225,127 @@ impl InstanceSlab {
     /// in lockstep (the engine's only phase-mutation path).
     pub fn set_phase(&mut self, id: &InstanceId, phase: Phase) {
         let idx = id.0 as usize;
-        let was = self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
-        let inst = self.slots[idx].as_mut().expect("live instance");
-        inst.phase = phase;
+        let was = self.admissible_at(idx);
+        self.record_mut(idx).phase = phase;
         let tag = PhaseTag::of(&phase);
         if tag != self.phase[idx] {
             self.summary_leave(idx);
             self.phase[idx] = tag;
             self.summary_enter(idx);
+        }
+        self.index_update(idx, was);
+    }
+
+    /// Routes `req` into instance `id`: it joins the stage-0 queue and the
+    /// instance counts as used at `now`. Returns false (and changes
+    /// nothing) when `id` is not live.
+    #[inline]
+    pub fn admit(&mut self, id: InstanceId, req: u64, now: SimTime) -> bool {
+        let idx = id.0 as usize;
+        let Some(inst) = self.slots.get_mut(idx).and_then(Option::as_mut) else {
+            return false;
+        };
+        inst.stage_queues[0].push_back(req);
+        inst.last_used = now;
+        self.shift_occupancy(idx, true);
+        true
+    }
+
+    /// Starts the next queued request on `stage` of instance `id`, if the
+    /// instance is live and serving (ready or draining), the stage is idle
+    /// and its queue is not empty. Returns the request and the record.
+    #[inline]
+    pub fn start_stage(
+        &mut self,
+        id: InstanceId,
+        stage: usize,
+        now: SimTime,
+    ) -> Option<(u64, &Instance)> {
+        let idx = id.0 as usize;
+        let inst = self.slots.get_mut(idx).and_then(Option::as_mut)?;
+        if !inst.is_ready() && !matches!(inst.phase, Phase::Draining) {
+            return None;
+        }
+        if inst.stage_busy[stage].is_some() {
+            return None;
+        }
+        let req = inst.stage_queues[stage].pop_front()?;
+        inst.stage_busy[stage] = Some(req);
+        inst.mark_busy(now);
+        self.busy_gpcs[idx] += inst.plan.stages[stage].profile.gpcs();
+        Some((req, &*inst))
+    }
+
+    /// Finishes `req` on `stage` of instance `id`: after the final stage
+    /// the request leaves the instance, before it the request enters the
+    /// boundary transfer (still occupying the instance). An instance left
+    /// empty ends its busy interval at `now`. Returns the record, or
+    /// `None` when `id` is not live.
+    #[inline]
+    pub fn finish_stage(
+        &mut self,
+        id: InstanceId,
+        stage: usize,
+        req: u64,
+        now: SimTime,
+    ) -> Option<&Instance> {
+        let idx = id.0 as usize;
+        let inst = self.slots.get_mut(idx).and_then(Option::as_mut)?;
+        debug_assert_eq!(inst.stage_busy[stage], Some(req));
+        inst.stage_busy[stage] = None;
+        inst.last_used = now;
+        self.busy_gpcs[idx] -= inst.plan.stages[stage].profile.gpcs();
+        if stage + 1 == inst.plan.num_stages() {
+            self.shift_occupancy(idx, false);
+        } else {
+            inst.in_transfer += 1;
+        }
+        if self.occupancy[idx] == 0 {
+            self.record_mut(idx).mark_idle(now);
+        }
+        self.get(&id)
+    }
+
+    /// A boundary transfer of `req` landed: it joins `stage`'s queue
+    /// (occupancy is unchanged — the request never left the instance).
+    /// Returns false when `id` is not live.
+    #[inline]
+    pub fn land_transfer(&mut self, id: InstanceId, stage: usize, req: u64) -> bool {
+        let Some(inst) = self.slots.get_mut(id.0 as usize).and_then(Option::as_mut) else {
+            return false;
+        };
+        debug_assert!(inst.in_transfer > 0);
+        inst.in_transfer -= 1;
+        inst.stage_queues[stage].push_back(req);
+        true
+    }
+
+    /// Consumes instance `id`'s busy time since the last call and returns
+    /// its utilization over `window` (see [`Instance::take_utilization`]).
+    pub fn take_utilization(&mut self, id: InstanceId, now: SimTime, window: SimDuration) -> f64 {
+        self.record_mut(id.0 as usize).take_utilization(now, window)
+    }
+
+    /// True when slot `idx` is ready and below its admission bound — the
+    /// routing-index membership predicate.
+    #[inline]
+    fn admissible_at(&self, idx: usize) -> bool {
+        self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx]
+    }
+
+    /// One request entered (`up`) or left slot `idx`: moves the occupancy
+    /// column, a ready instance's summary sum, and index membership.
+    #[inline]
+    fn shift_occupancy(&mut self, idx: usize, up: bool) {
+        let was = self.admissible_at(idx);
+        let ready = self.phase[idx] == PhaseTag::Ready;
+        let sum = &mut self.summary[self.func[idx]].occupancy;
+        if up {
+            self.occupancy[idx] += 1;
+            *sum += usize::from(ready);
+        } else {
+            self.occupancy[idx] -= 1;
+            *sum -= usize::from(ready);
         }
         self.index_update(idx, was);
     }
@@ -246,7 +360,6 @@ impl InstanceSlab {
                 v.occupancy += self.occupancy[idx] as usize;
                 v.best_bottleneck_ms = v.best_bottleneck_ms.min(self.bottleneck_ms[idx]);
                 v.best_latency_ms = v.best_latency_ms.min(self.latency_ms[idx]);
-                self.ready_ids[self.func[idx]].push(idx as u32);
             }
             PhaseTag::Launching => v.launching += 1,
             PhaseTag::Draining | PhaseTag::Empty => {}
@@ -254,44 +367,52 @@ impl InstanceSlab {
     }
 
     /// Takes slot `idx`, in its current phase, out of its function's
-    /// summary. A minimum is recomputed over the remaining ready ids only
-    /// when the leaving instance holds it.
+    /// summary. A minimum is recomputed over the function's other ready
+    /// instances only when the leaving instance holds it.
     fn summary_leave(&mut self, idx: usize) {
         let f = self.func[idx];
         match self.phase[idx] {
             PhaseTag::Ready => {
-                let ids = &mut self.ready_ids[f];
-                let pos = ids
-                    .iter()
-                    .position(|&x| x as usize == idx)
-                    .expect("ready instance is listed");
-                ids.swap_remove(pos);
-                let v = &mut self.summary[f];
-                v.ready -= 1;
-                v.occupancy -= self.occupancy[idx] as usize;
-                if self.bottleneck_ms[idx] == v.best_bottleneck_ms {
-                    v.best_bottleneck_ms = ids
-                        .iter()
-                        .map(|&i| self.bottleneck_ms[i as usize])
-                        .fold(f64::INFINITY, f64::min);
-                }
-                if self.latency_ms[idx] == v.best_latency_ms {
-                    v.best_latency_ms = ids
-                        .iter()
-                        .map(|&i| self.latency_ms[i as usize])
-                        .fold(f64::INFINITY, f64::min);
-                }
+                let v = self.summary[f];
+                let best_bottleneck_ms = if self.bottleneck_ms[idx] == v.best_bottleneck_ms {
+                    self.ready_min(f, idx, &self.bottleneck_ms)
+                } else {
+                    v.best_bottleneck_ms
+                };
+                let best_latency_ms = if self.latency_ms[idx] == v.best_latency_ms {
+                    self.ready_min(f, idx, &self.latency_ms)
+                } else {
+                    v.best_latency_ms
+                };
+                self.summary[f] = ExclusiveView {
+                    ready: v.ready - 1,
+                    occupancy: v.occupancy - self.occupancy[idx] as usize,
+                    best_bottleneck_ms,
+                    best_latency_ms,
+                    ..v
+                };
             }
             PhaseTag::Launching => self.summary[f].launching -= 1,
             PhaseTag::Draining | PhaseTag::Empty => {}
         }
     }
 
+    /// The minimum of `column` over `f`'s ready instances other than
+    /// `leaving` (infinity when there are none).
+    fn ready_min(&self, f: FuncId, leaving: usize, column: &[f64]) -> f64 {
+        self.ids[f]
+            .iter()
+            .map(|id| id.0 as usize)
+            .filter(|&i| i != leaving && self.phase[i] == PhaseTag::Ready)
+            .map(|i| column[i])
+            .fold(f64::INFINITY, f64::min)
+    }
+
     /// The exclusive-fleet summary of `f`: ready and launching counts,
     /// ready occupancy, and the best ready bottleneck and latency
     /// estimates. O(1); equal to
     /// [`exclusive_view_scan`](super::policy::exclusive_view_scan) over
-    /// the function's instances.
+    /// [`ids_of`](Self::ids_of).
     #[inline]
     pub fn exclusive_view(&self, f: FuncId) -> ExclusiveView {
         self.summary.get(f).copied().unwrap_or(ExclusiveView::EMPTY)
@@ -304,7 +425,7 @@ impl InstanceSlab {
     /// and a compare.
     #[inline]
     fn index_update(&mut self, idx: usize, was: bool) {
-        let now = self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
+        let now = self.admissible_at(idx);
         if was == now {
             return;
         }
@@ -320,6 +441,12 @@ impl InstanceSlab {
             }
             _ => debug_assert!(false, "routing index membership out of sync"),
         }
+    }
+
+    /// The live instances of `f`, ascending by id.
+    #[inline]
+    pub fn ids_of(&self, f: FuncId) -> &[InstanceId] {
+        self.ids.get(f).map_or(&[], Vec::as_slice)
     }
 
     /// The routing index for `f`: the admissible (ready, spare admission
@@ -376,43 +503,7 @@ impl InstanceSlab {
     /// equivalent of [`Instance::has_capacity`] with the function's SLO.
     #[inline]
     pub fn has_admission_capacity(&self, id: InstanceId) -> bool {
-        let idx = id.0 as usize;
-        self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx]
-    }
-
-    /// A request entered instance `id` (queued at stage 0).
-    #[inline]
-    pub fn note_admitted(&mut self, id: InstanceId) {
-        let idx = id.0 as usize;
-        let was = self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
-        self.occupancy[idx] += 1;
-        if self.phase[idx] == PhaseTag::Ready {
-            self.summary[self.func[idx]].occupancy += 1;
-        }
-        self.index_update(idx, was);
-    }
-
-    /// A stage of instance `id` started executing, occupying `gpcs` GPCs.
-    #[inline]
-    pub fn note_stage_started(&mut self, id: InstanceId, gpcs: u32) {
-        self.busy_gpcs[id.0 as usize] += gpcs;
-    }
-
-    /// A stage of instance `id` finished; `departed` when the request left
-    /// the instance (final stage).
-    #[inline]
-    pub fn note_stage_finished(&mut self, id: InstanceId, gpcs: u32, departed: bool) {
-        let idx = id.0 as usize;
-        self.busy_gpcs[idx] -= gpcs;
-        if departed {
-            let was =
-                self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
-            self.occupancy[idx] -= 1;
-            if self.phase[idx] == PhaseTag::Ready {
-                self.summary[self.func[idx]].occupancy -= 1;
-            }
-            self.index_update(idx, was);
-        }
+        self.admissible_at(id.0 as usize)
     }
 
     /// Sum of busy GPCs over every live instance — the per-tick
@@ -421,9 +512,10 @@ impl InstanceSlab {
         self.busy_gpcs.iter().map(|&g| g as u64).sum()
     }
 
-    /// Re-derives every hot column from the instance records and asserts
-    /// they match; debug builds call this from the per-tick path so any
-    /// missed update site fails fast.
+    /// Re-derives every hot column, the per-function id lists, the routing
+    /// index and the summary from the instance records and asserts they
+    /// match; debug builds call this from the per-tick path so any
+    /// transition that misses a view fails fast.
     pub fn debug_assert_hot_consistent(&self) {
         if cfg!(debug_assertions) {
             for (idx, slot) in self.slots.iter().enumerate() {
@@ -432,39 +524,28 @@ impl InstanceSlab {
                     Some(inst) => {
                         debug_assert_eq!(self.phase[idx], PhaseTag::of(&inst.phase));
                         debug_assert_eq!(self.occupancy[idx], inst.occupancy() as u32);
-                        let busy: u32 = inst
-                            .stage_busy
-                            .iter()
-                            .zip(&inst.plan.stages)
-                            .filter(|(b, _)| b.is_some())
-                            .map(|(_, s)| s.profile.gpcs())
-                            .sum();
-                        debug_assert_eq!(self.busy_gpcs[idx], busy);
+                        debug_assert_eq!(self.busy_gpcs[idx], busy_gpcs_of(inst));
                         debug_assert_eq!(self.func[idx], inst.func);
                     }
                 }
             }
-            // Re-derive the routing index: each function's candidate list
-            // must hold exactly its admissible slots, ascending.
-            for (f, list) in self.admissible.iter().enumerate() {
-                let expect: Vec<u32> = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(idx, s)| {
-                        s.is_some()
-                            && self.func[*idx] == f
-                            && self.has_admission_capacity(InstanceId(*idx as u64))
-                    })
-                    .map(|(idx, _)| idx as u32)
-                    .collect();
-                debug_assert_eq!(list, &expect, "routing index diverged for function {f}");
-            }
-            for f in 0..self.summary.len() {
+            for f in 0..self.ids.len() {
                 let ids: Vec<InstanceId> = self
                     .keys()
                     .filter(|id| self.func[id.0 as usize] == f)
                     .collect();
+                debug_assert_eq!(self.ids[f], ids, "id list diverged for function {f}");
+                // The routing index must hold exactly the admissible ids,
+                // ascending.
+                let expect: Vec<u32> = ids
+                    .iter()
+                    .filter(|&&id| self.has_admission_capacity(id))
+                    .map(|id| id.0 as u32)
+                    .collect();
+                debug_assert_eq!(
+                    self.admissible[f], expect,
+                    "routing index diverged for function {f}"
+                );
                 debug_assert_eq!(
                     self.exclusive_view(f),
                     super::policy::exclusive_view_scan(self, &ids),
@@ -486,20 +567,21 @@ impl InstanceSlab {
         self.throughput_rps.clear();
         self.busy_gpcs.clear();
         self.func.clear();
-        // Keep the outer per-function vector (and each inner list's
+        // Keep the outer per-function vectors (and each inner list's
         // capacity): the next run refills them without allocating.
+        for list in &mut self.ids {
+            list.clear();
+        }
         for list in &mut self.admissible {
             list.clear();
         }
         self.summary.fill(ExclusiveView::EMPTY);
-        for list in &mut self.ready_ids {
-            list.clear();
-        }
         self.live = 0;
     }
 
-    /// Total retained slot capacity across the spine and hot columns (the
-    /// arena-growth test asserts this stays flat after warm-up).
+    /// Total retained slot capacity across the spine, hot columns and
+    /// per-function lists (the arena-growth test asserts this stays flat
+    /// after warm-up).
     pub fn retained_capacity(&self) -> usize {
         self.slots.capacity()
             + self.phase.capacity()
@@ -510,11 +592,11 @@ impl InstanceSlab {
             + self.throughput_rps.capacity()
             + self.busy_gpcs.capacity()
             + self.func.capacity()
+            + self.ids.capacity()
+            + self.ids.iter().map(Vec::capacity).sum::<usize>()
             + self.admissible.capacity()
             + self.admissible.iter().map(Vec::capacity).sum::<usize>()
             + self.summary.capacity()
-            + self.ready_ids.capacity()
-            + self.ready_ids.iter().map(Vec::capacity).sum::<usize>()
     }
 
     /// Live instance ids, ascending.
@@ -530,6 +612,16 @@ impl InstanceSlab {
     pub fn values(&self) -> impl Iterator<Item = &Instance> {
         self.slots.iter().filter_map(Option::as_ref)
     }
+}
+
+/// GPCs of `inst`'s currently executing stages.
+fn busy_gpcs_of(inst: &Instance) -> u32 {
+    inst.stage_busy
+        .iter()
+        .zip(&inst.plan.stages)
+        .filter(|(b, _)| b.is_some())
+        .map(|(_, s)| s.profile.gpcs())
+        .sum()
 }
 
 impl std::ops::Index<&InstanceId> for InstanceSlab {
@@ -559,18 +651,24 @@ mod tests {
     use ffs_mig::{GpuId, NodeId, SliceId, SliceProfile};
     use ffs_pipeline::plan::StagePlan;
     use ffs_pipeline::{DeploymentPlan, InstanceEstimate};
-    use ffs_sim::SimTime;
 
-    fn inst(id: u64) -> Instance {
-        let nodes = vec![ffs_dag::NodeId(0)];
+    /// A launching instance of function 0 with one 1g slice per stage.
+    fn inst_with_stages(id: u64, stages: usize) -> Instance {
+        let parts: Vec<Vec<ffs_dag::NodeId>> = (0..stages)
+            .map(|i| vec![ffs_dag::NodeId(i as u32)])
+            .collect();
         let plan = DeploymentPlan {
-            partition: PipelinePartition::new(vec![nodes.clone()]),
-            stages: vec![StagePlan {
-                nodes,
-                slice: SliceId::new(GpuId(0), 0),
-                profile: SliceProfile::G1_10,
-                mem_gb: 1.0,
-            }],
+            partition: PipelinePartition::new(parts.clone()),
+            stages: parts
+                .into_iter()
+                .enumerate()
+                .map(|(i, nodes)| StagePlan {
+                    nodes,
+                    slice: SliceId::new(GpuId(0), i as u8),
+                    profile: SliceProfile::G1_10,
+                    mem_gb: 1.0,
+                })
+                .collect(),
             cv: 0.0,
         };
         Instance::new(
@@ -582,11 +680,15 @@ mod tests {
                 bottleneck_ms: 1.0,
                 throughput_rps: 1.0,
             },
-            StageTimings::zero(1),
+            StageTimings::zero(stages),
             NodeId(0),
             SimTime::ZERO,
             SimTime::ZERO,
         )
+    }
+
+    fn inst(id: u64) -> Instance {
+        inst_with_stages(id, 1)
     }
 
     #[test]
@@ -632,23 +734,55 @@ mod tests {
         assert!(slab.get(&id).unwrap().is_ready(), "record stays in sync");
         assert!(slab.has_admission_capacity(id));
 
-        slab.note_admitted(id);
-        slab.get_mut(&id).unwrap().stage_queues[0].push_back(7);
+        assert!(slab.admit(id, 7, SimTime::ZERO));
         assert_eq!(slab.occupancy_of(id), 1);
-        slab.get_mut(&id).unwrap().stage_queues[0].pop_front();
-        slab.get_mut(&id).unwrap().stage_busy[0] = Some(7);
-        slab.note_stage_started(id, 1);
+        assert_eq!(slab.exclusive_view(0).occupancy, 1);
+        assert_eq!(slab.start_stage(id, 0, SimTime::ZERO).unwrap().0, 7);
+        assert!(
+            slab.start_stage(id, 0, SimTime::ZERO).is_none(),
+            "stage busy"
+        );
         assert_eq!(slab.busy_gpcs_total(), 1);
         slab.debug_assert_hot_consistent();
-        slab.get_mut(&id).unwrap().stage_busy[0] = None;
-        slab.note_stage_finished(id, 1, true);
+        slab.finish_stage(id, 0, 7, SimTime::from_secs(1)).unwrap();
         assert_eq!(slab.occupancy_of(id), 0);
         assert_eq!(slab.busy_gpcs_total(), 0);
+        assert_eq!(slab.get(&id).unwrap().last_used, SimTime::from_secs(1));
+        // Busy from 0 s to the 1 s finish, then idle: half of a 2 s window.
+        let util = slab.take_utilization(id, SimTime::from_secs(2), SimDuration::from_secs(2));
+        assert!((util - 0.5).abs() < 1e-9);
         slab.debug_assert_hot_consistent();
 
         slab.remove(&id);
         assert_eq!(slab.phase_tag(id), PhaseTag::Empty);
         assert_eq!(slab.phase_tag(InstanceId(99)), PhaseTag::Empty);
+    }
+
+    #[test]
+    fn two_stage_request_occupies_until_its_final_stage() {
+        let mut slab = InstanceSlab::new();
+        let id = InstanceId(1);
+        slab.insert(id, inst_with_stages(1, 2), 100.0);
+        slab.set_phase(&id, Phase::Ready);
+        let t = SimTime::ZERO;
+        assert!(slab.admit(id, 9, t));
+        assert_eq!(slab.start_stage(id, 0, t).unwrap().0, 9);
+        let inst = slab.finish_stage(id, 0, 9, t).unwrap();
+        assert_eq!(inst.in_transfer, 1, "stage 0 hands off to a transfer");
+        assert_eq!(slab.occupancy_of(id), 1, "mid-transfer still occupies");
+        assert_eq!(slab.busy_gpcs_total(), 0);
+        slab.debug_assert_hot_consistent();
+        assert!(slab.land_transfer(id, 1, 9));
+        assert_eq!(slab.occupancy_of(id), 1);
+        assert_eq!(slab.get(&id).unwrap().in_transfer, 0);
+        assert!(slab.start_stage(id, 1, t).is_some());
+        assert_eq!(slab.exclusive_view(0).occupancy, 1);
+        slab.debug_assert_hot_consistent();
+        assert!(slab.finish_stage(id, 1, 9, t).unwrap().is_empty());
+        assert_eq!(slab.occupancy_of(id), 0);
+        assert_eq!(slab.exclusive_view(0).occupancy, 0);
+        slab.debug_assert_hot_consistent();
+        assert!(!slab.land_transfer(InstanceId(5), 1, 9), "not live");
     }
 
     #[test]

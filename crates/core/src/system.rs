@@ -18,6 +18,7 @@ use crate::platform::policy::{
     lowest_latency_instance, route_to_instance, should_overflow_to_shared, Autoscaler, Migrator,
     NoMigrator, NoSharedPool, Placer, PolicyBundle, Router, SharedPoolPolicy,
 };
+use crate::platform::slab::PhaseTag;
 
 pub use crate::platform::engine::SchedulerLog;
 
@@ -64,8 +65,7 @@ fn route_to_exclusive(
     now: SimTime,
     sched: &mut Scheduler<Event>,
 ) -> bool {
-    let slo = core.catalog.slo_ms(f);
-    let Some(id) = lowest_latency_instance(core, f, slo) else {
+    let Some(id) = lowest_latency_instance(core, f) else {
         return false;
     };
     route_to_instance(core, id, req, now, sched);
@@ -323,32 +323,24 @@ impl Autoscaler for FluidAutoscaler {
             // order the instance-map filter produced.
             ids.clear();
             ids.extend(
-                core.instances_of[f]
+                core.instances
+                    .ids_of(f)
                     .iter()
                     .copied()
-                    .filter(|id| core.instances[id].is_ready()),
+                    .filter(|&id| core.instances.phase_tag(id) == PhaseTag::Ready),
             );
             for &id in &ids {
-                let window = core.cfg.scale_tick;
-                let Some(inst) = core.instances.get_mut(&id) else {
-                    // The id list was snapshotted above; nothing in this
-                    // loop retires other instances, but stay total.
-                    continue;
-                };
-                let (util, empty, throughput, idle_for) = {
-                    let idle_for = now.saturating_since(inst.last_used);
-                    (
-                        inst.take_utilization(now, window),
-                        inst.is_empty(),
-                        inst.est.throughput_rps,
-                        idle_for,
-                    )
-                };
+                // The id list was snapshotted above; nothing in this loop
+                // retires an instance other than `id`, so each is live.
+                let util = core
+                    .instances
+                    .take_utilization(id, now, core.cfg.scale_tick);
+                let idle_for = now.saturating_since(core.instances[id].last_used);
                 if util < core.cfg.demote_utilization
-                    && empty
+                    && core.instances.occupancy_of(id) == 0
                     && (idle_for >= core.cfg.exclusive_idle_grace || starving)
                 {
-                    let remaining = core.capacity_rps(f) - throughput;
+                    let remaining = core.capacity_rps(f) - core.instances.throughput_rps_of(id);
                     let target = core.demand_rps[f] / core.cfg.scaleup_headroom;
                     if remaining >= target || core.demand_rps[f] < 1e-6 {
                         core.retire_instance(id, now);

@@ -1,13 +1,15 @@
 //! Property test: the slab's incremental routing index is equivalent to a
-//! full scan, under arbitrary interleavings of the five mutation sites
-//! that maintain it (insert, remove, phase transitions, admissions,
-//! departures).
+//! full scan, under arbitrary interleavings of the slab transitions that
+//! maintain it (insert, remove, phase transitions, and requests driven
+//! through `admit` → `start_stage` → `finish_stage`).
 //!
 //! The test drives an [`InstanceSlab`] through random operation sequences
 //! while keeping its own model of which instance belongs to which
 //! function, then after *every* operation re-derives the admissible set
 //! from the slab's public accessors and asserts:
 //!
+//! * `ids_of(f)` holds exactly the model's live instances of `f`, in
+//!   ascending id order;
 //! * `admissible_of(f)` holds exactly the live, `Ready`,
 //!   below-admission-bound instances of `f`, in ascending id order;
 //! * the argmin-latency winner over the index equals the winner of the
@@ -162,7 +164,8 @@ proptest! {
         let mut model: Vec<(u64, usize)> = Vec::new();
         let mut next_id = 0u64;
 
-        for (op, pick, salt) in ops {
+        for (step, (op, pick, salt)) in ops.into_iter().enumerate() {
+            let now = SimTime::from_micros(step as u64);
             match op {
                 // Insert a launching instance: never admissible yet.
                 0 => {
@@ -191,23 +194,24 @@ proptest! {
                     }
                 }
                 // Admission: routing only ever targets admissible
-                // instances, so gate exactly as the router does. Mirror
-                // the record mutation (queue at stage 0) like the engine.
+                // instances, so gate exactly as the router does; then kick
+                // stage 0 as the engine does (a no-op while it is busy).
                 3 if !model.is_empty() => {
                     let (id, _) = model[pick % model.len()];
                     let iid = InstanceId(id);
                     if slab.has_admission_capacity(iid) {
-                        slab.get_mut(&iid).unwrap().stage_queues[0].push_back(u64::from(salt));
-                        slab.note_admitted(iid);
+                        prop_assert!(slab.admit(iid, u64::from(salt), now));
+                        slab.start_stage(iid, 0, now);
                     }
                 }
-                // Departure: a queued request leaves the instance.
+                // Departure: the executing request finishes its only
+                // stage and leaves; the stage is refed from its queue.
                 4 if !model.is_empty() => {
                     let (id, _) = model[pick % model.len()];
                     let iid = InstanceId(id);
-                    if slab.occupancy_of(iid) > 0 {
-                        slab.get_mut(&iid).unwrap().stage_queues[0].pop_front();
-                        slab.note_stage_finished(iid, 0, true);
+                    if let Some(req) = slab.get(&iid).unwrap().stage_busy[0] {
+                        prop_assert!(slab.finish_stage(iid, 0, req, now).is_some());
+                        slab.start_stage(iid, 0, now);
                     }
                 }
                 // Remove the ready instance holding its function's
@@ -232,6 +236,13 @@ proptest! {
             // just at the end — a transiently wrong list would route a
             // request before any later op repaired it.
             for f in 0..FUNCS {
+                let ids = ids_of(&model, f);
+                prop_assert_eq!(
+                    slab.ids_of(f),
+                    ids.as_slice(),
+                    "id list diverged for function {}",
+                    f
+                );
                 let expect = derive_admissible(&slab, &model, f);
                 prop_assert_eq!(
                     slab.admissible_of(f),
@@ -247,7 +258,7 @@ proptest! {
                 );
                 prop_assert_eq!(
                     slab.exclusive_view(f),
-                    exclusive_view_scan(&slab, &ids_of(&model, f)),
+                    exclusive_view_scan(&slab, &ids),
                     "exclusive-fleet summary diverged for function {}",
                     f
                 );
