@@ -5,7 +5,7 @@
 //! A simulation run allocates four container families whose capacity is
 //! expensive to build and trivial to recycle:
 //!
-//! * the event scheduler (its event heap, grown to the run's peak
+//! * the event scheduler (its event queue, grown to the run's peak
 //!   population, plus the preload stream),
 //! * the request table (one record per trace invocation),
 //! * the instance slab (spine plus seven SoA hot columns),

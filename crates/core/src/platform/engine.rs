@@ -1399,7 +1399,7 @@ impl Platform for Engine {
         self.core.cfg.drain
     }
 
-    fn finalize(&mut self, _end: SimTime) {
+    fn finalize(&mut self, end: SimTime) {
         // `requests` and `hub` are disjoint fields, so the table is walked
         // in place (table order) while the hub logs each abandonment.
         let core = &mut self.core;
@@ -1425,6 +1425,14 @@ impl Platform for Engine {
             self.core.chaos.enabled || self.core.hub.cost.clamps() == 0,
             "fault-free run clamped {} cost intervals",
             self.core.hub.cost.clamps()
+        );
+        // A slice works only while allocated, so no GPU's active
+        // MIG-seconds may exceed its occupied MIG-seconds. Checked in
+        // release builds too.
+        let overrun = self.core.hub.cost.active_overrun(end);
+        assert!(
+            overrun.is_none(),
+            "(gpu, active, occupied) MIG time overrun: {overrun:?}"
         );
     }
 

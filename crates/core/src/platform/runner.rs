@@ -123,9 +123,9 @@ pub fn run_platform<P: Platform>(platform: &mut P, trace: &Trace) -> RunOutput {
 pub(super) fn drive<P: Platform>(platform: &mut P, trace: &Trace) -> (RunOutput, u64) {
     // All arrivals go in up front via the sorted bulk path (traces are
     // sorted by arrival), which keeps them out of the scheduler's event
-    // heap and stores only their timestamps: the drain merges them in as
+    // queue and stores only their timestamps: the drain merges them in as
     // they come due.
-    // The scheduler itself comes from the thread's run arena, so its heap
+    // The scheduler itself comes from the thread's run arena, so its queue
     // arrives already grown to an earlier run's peak.
     let setup = ffs_telemetry::span(ffs_telemetry::Phase::EngineSetup);
     let mut sched: Scheduler<Event> = super::arena::take_scheduler();

@@ -2,11 +2,11 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! phase that launches instances, grows every ring to its working size and
-//! grows the scheduler's event heap, a measured window of pure event
+//! grows the scheduler's event queue, a measured window of pure event
 //! traffic (arrivals, stage completions, request completions — no scale
 //! tick, which is cadence work, not per-event work) must allocate nothing:
 //! requests are prebuilt, the request log and utilization bins are
-//! pre-sized, the event heap and per-function rings recycle their capacity,
+//! pre-sized, the event queue and per-function rings recycle their capacity,
 //! and plan/timing lookups hit precomputed tables.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -97,7 +97,7 @@ fn steady_state_events_do_not_allocate() {
     );
     sched.at(SimTime::ZERO, Event::ScaleTick);
 
-    // Warm-up: launches, ring growth, heap growth, first completions.
+    // Warm-up: launches, ring growth, queue growth, first completions.
     run_until(&mut sys, &mut sched, SimTime::from_micros(5_200_000));
 
     // Measured window between two scale ticks (ticks land on whole

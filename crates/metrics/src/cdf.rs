@@ -1,61 +1,59 @@
 //! Latency CDFs and percentiles (Figures 11–13).
 //!
-//! A run's latencies are whole microseconds at source, so the run-level
-//! CDFs are built by [`LatencyCdf::from_micros`]: an LSD radix sort of the
-//! integer keys, then the same µs → ms map
-//! [`RequestRecord::latency_ms`](crate::RequestRecord::latency_ms) applies.
-//! That map is monotone, so the result is bit-identical to sorting the
-//! `f64` latencies with `total_cmp`. [`LatencyCdf::new`] stays for
-//! arbitrary `f64` samples.
+//! A [`LatencyCdf`] keeps its samples unsorted, as `u64` keys whose
+//! unsigned order is the order of the ms values they stand for. A
+//! percentile is one order statistic, so [`LatencyCdf::percentile`] (and
+//! `p50`/`p95`/`p99`) finds it by exact k-th-order selection
+//! (`select_nth_unstable`, O(n)); only [`LatencyCdf::curve`] and
+//! [`LatencyCdf::fraction_below`] need the whole order, and the first of
+//! them sorts the keys in place for every later query.
+//!
+//! A run's latencies are whole microseconds at source, so run-level CDFs
+//! are built by [`LatencyCdf::from_micros`], whose keys are the µs values
+//! themselves, reported through the same µs → ms map
+//! [`RequestRecord::latency_ms`](crate::RequestRecord::latency_ms)
+//! applies. That map is monotone, so every answer is bit-identical to
+//! sorting the `f64` latencies with `total_cmp` and reading the
+//! nearest rank. [`LatencyCdf::new`] takes arbitrary `f64` samples and
+//! keys them by their `total_cmp` order.
+
+use std::cell::{Cell, RefCell};
 
 use crate::record::micros_to_ms;
 
-/// Bits of key consumed per radix pass: 2,048 buckets, whose counts fit
-/// in L1.
-const RADIX_BITS: u32 = 11;
-
-/// Below this many keys a comparison sort beats the radix passes' fixed
-/// cost of clearing and scanning the bucket counts.
-const RADIX_MIN_LEN: usize = 256;
-
-/// Sorts `keys` ascending: an LSD radix sort with [`RADIX_BITS`]-bit
-/// digits and as many passes as the largest key needs, or a comparison
-/// sort for short inputs.
-fn radix_sort(keys: &mut Vec<u64>) {
-    if keys.len() < RADIX_MIN_LEN {
-        keys.sort_unstable();
-        return;
-    }
-    let max = keys.iter().copied().max().unwrap_or(0);
-    let passes = (u64::BITS - max.leading_zeros()).div_ceil(RADIX_BITS);
-    let mask = (1u64 << RADIX_BITS) - 1;
-    let mut counts = vec![0usize; 1 << RADIX_BITS];
-    let mut scratch = vec![0u64; keys.len()];
-    for pass in 0..passes {
-        let shift = pass * RADIX_BITS;
-        counts.fill(0);
-        for &k in keys.iter() {
-            counts[((k >> shift) & mask) as usize] += 1;
-        }
-        let mut next = 0;
-        for c in &mut counts {
-            let n = *c;
-            *c = next;
-            next += n;
-        }
-        for &k in keys.iter() {
-            let d = ((k >> shift) & mask) as usize;
-            scratch[counts[d]] = k;
-            counts[d] += 1;
-        }
-        std::mem::swap(keys, &mut scratch);
+/// The key of a finite `f64`: a `u64` whose unsigned order is
+/// `f64::total_cmp`'s (so `-0.0` sorts below `+0.0`).
+fn f64_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
 }
 
+/// Inverse of [`f64_key`].
+fn key_f64(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
 /// An empirical latency distribution.
+///
+/// Queries take `&self`: selection reorders the keys behind a `RefCell`
+/// (the multiset, and so every answer, is unchanged), which keeps the
+/// value `Send` but not `Sync`.
 #[derive(Clone, Debug)]
 pub struct LatencyCdf {
-    sorted_ms: Vec<f64>,
+    /// One key per sample, in no particular order until `sorted` is set.
+    keys: RefCell<Vec<u64>>,
+    /// True once the keys are sorted ascending.
+    sorted: Cell<bool>,
+    /// Maps a key to its latency in ms; monotone non-decreasing.
+    to_ms: fn(u64) -> f64,
 }
 
 impl LatencyCdf {
@@ -64,49 +62,61 @@ impl LatencyCdf {
     /// sweep: they are dropped here and counted against the process-wide
     /// [`ffs_obs::nonfinite_latency_samples`] counter so the loss stays
     /// visible.
-    pub fn new(mut samples: Vec<f64>) -> Self {
+    pub fn new(samples: Vec<f64>) -> Self {
         let before = samples.len();
-        samples.retain(|x| x.is_finite());
-        for _ in samples.len()..before {
+        let keys: Vec<u64> = samples
+            .into_iter()
+            .filter(|x| x.is_finite())
+            .map(f64_key)
+            .collect();
+        for _ in keys.len()..before {
             ffs_obs::note_nonfinite_latency_sample();
         }
-        // Values `total_cmp` calls equal are bit-identical, so an unstable
-        // sort yields the same vector as a stable one, without its buffer.
-        samples.sort_unstable_by(f64::total_cmp);
-        LatencyCdf { sorted_ms: samples }
+        Self::from_keys(keys, key_f64)
     }
 
     /// Builds a CDF from whole-microsecond latencies, reported in ms as
     /// [`RequestRecord::latency_ms`](crate::RequestRecord::latency_ms)
-    /// does. Bit-identical to `LatencyCdf::new` over those ms values, at
-    /// the cost of a radix sort instead of a comparison sort.
-    pub fn from_micros(mut micros: Vec<u64>) -> Self {
-        radix_sort(&mut micros);
+    /// does. Bit-identical to `LatencyCdf::new` over those ms values; the
+    /// µs values are the keys, so building costs no pass over the data.
+    pub fn from_micros(micros: Vec<u64>) -> Self {
+        Self::from_keys(micros, micros_to_ms)
+    }
+
+    fn from_keys(keys: Vec<u64>, to_ms: fn(u64) -> f64) -> Self {
         LatencyCdf {
-            sorted_ms: micros.into_iter().map(micros_to_ms).collect(),
+            keys: RefCell::new(keys),
+            sorted: Cell::new(false),
+            to_ms,
         }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.sorted_ms.len()
+        self.keys.borrow().len()
     }
 
     /// True if there are no samples.
     pub fn is_empty(&self) -> bool {
-        self.sorted_ms.is_empty()
+        self.len() == 0
     }
 
     /// The `q`-quantile (0.0 ..= 1.0) by nearest-rank. Returns `None` when
-    /// empty.
+    /// empty. Found by selection unless the keys are already sorted.
     pub fn percentile(&self, q: f64) -> Option<f64> {
-        if self.sorted_ms.is_empty() {
+        let n = self.len();
+        if n == 0 {
             return None;
         }
         debug_assert!((0.0..=1.0).contains(&q));
-        let n = self.sorted_ms.len();
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.sorted_ms[rank - 1])
+        let mut keys = self.keys.borrow_mut();
+        let key = if self.sorted.get() {
+            keys[rank - 1]
+        } else {
+            *keys.select_nth_unstable(rank - 1).1
+        };
+        Some((self.to_ms)(key))
     }
 
     /// Median latency.
@@ -124,27 +134,38 @@ impl LatencyCdf {
         self.percentile(0.99)
     }
 
+    /// The keys in ascending order, sorting them on first use.
+    fn sorted_keys(&self) -> std::cell::Ref<'_, Vec<u64>> {
+        if !self.sorted.get() {
+            self.keys.borrow_mut().sort_unstable();
+            self.sorted.set(true);
+        }
+        self.keys.borrow()
+    }
+
     /// Fraction of samples at or below `x` ms.
     pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.sorted_ms.is_empty() {
+        let keys = self.sorted_keys();
+        if keys.is_empty() {
             return 0.0;
         }
-        let idx = self.sorted_ms.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted_ms.len() as f64
+        let idx = keys.partition_point(|&k| (self.to_ms)(k) <= x);
+        idx as f64 / keys.len() as f64
     }
 
     /// `points` evenly spaced CDF points `(latency_ms, cumulative_fraction)`
     /// for plotting.
     pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted_ms.is_empty() || points == 0 {
+        let keys = self.sorted_keys();
+        if keys.is_empty() || points == 0 {
             return Vec::new();
         }
-        let n = self.sorted_ms.len();
+        let n = keys.len();
         (1..=points)
             .map(|i| {
                 let frac = i as f64 / points as f64;
                 let rank = ((frac * n as f64).ceil() as usize).clamp(1, n);
-                (self.sorted_ms[rank - 1], frac)
+                ((self.to_ms)(keys[rank - 1]), frac)
             })
             .collect()
     }
@@ -154,6 +175,16 @@ impl LatencyCdf {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    impl LatencyCdf {
+        /// Every sample in ms, ascending.
+        fn sorted_ms(&self) -> Vec<f64> {
+            self.sorted_keys()
+                .iter()
+                .map(|&k| (self.to_ms)(k))
+                .collect()
+        }
+    }
 
     #[test]
     fn percentiles_on_known_data() {
@@ -218,7 +249,7 @@ mod tests {
         stable.sort_by(f64::total_cmp);
         let cdf = LatencyCdf::new(samples);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&cdf.sorted_ms), bits(&stable));
+        assert_eq!(bits(&cdf.sorted_ms()), bits(&stable));
         // -0.0 orders before +0.0 under total_cmp, on both sides.
         let first_pos_zero = stable.iter().position(|v| v.to_bits() == 0).unwrap();
         assert!(stable[..first_pos_zero]
@@ -236,14 +267,21 @@ mod tests {
         assert_eq!(ffs_obs::nonfinite_latency_samples() - before, 3);
     }
 
-    /// `from_micros` against the comparison sort it replaces: the ms
-    /// values `RequestRecord::latency_ms` reports, sorted by `total_cmp`.
+    /// `from_micros` against a comparison sort of the ms values
+    /// `RequestRecord::latency_ms` reports, ordered by `total_cmp`: the
+    /// selected percentiles first, then the whole sorted order.
     fn assert_matches_comparison_sort(micros: Vec<u64>) {
         let mut expect: Vec<f64> = micros.iter().map(|&us| micros_to_ms(us)).collect();
         expect.sort_unstable_by(f64::total_cmp);
         let cdf = LatencyCdf::from_micros(micros);
+        let n = expect.len();
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            let rank = ((q * n as f64).ceil() as usize).clamp(1, n.max(1));
+            let want = expect.get(rank - 1).map(|v| v.to_bits());
+            assert_eq!(cdf.percentile(q).map(f64::to_bits), want, "q = {q}");
+        }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&cdf.sorted_ms), bits(&expect));
+        assert_eq!(bits(&cdf.sorted_ms()), bits(&expect));
     }
 
     #[test]
@@ -259,15 +297,14 @@ mod tests {
         assert_matches_comparison_sort(vec![1_234]);
         assert_matches_comparison_sort(vec![0; 1_000]);
         assert_matches_comparison_sort(vec![77_777; 1_000]);
-        // Keys above 2^33 µs need four 11-bit passes; u64::MAX needs six.
+        // Keys from 2^33 µs up to u64::MAX.
         let big: Vec<u64> = (0..2_000)
             .map(|i| (1u64 << 33) + next() % (1u64 << 40) + i % 3)
             .chain([0, u64::MAX, 1u64 << 33])
             .collect();
         assert_matches_comparison_sort(big);
-        // Sizes on both sides of the small-input cutoff, with zeros and
-        // duplicates mixed in.
-        for n in [RADIX_MIN_LEN - 1, RADIX_MIN_LEN, RADIX_MIN_LEN + 1, 20_000] {
+        // Small and large inputs, with zeros and duplicates mixed in.
+        for n in [2, 255, 256, 257, 20_000] {
             let v: Vec<u64> = (0..n)
                 .map(|_| {
                     let r = next();

@@ -124,7 +124,7 @@ impl CostTracker {
     /// Negative intervals this tracker clamped to zero (an interval's end
     /// preceded its start). Always zero in a fault-free run — a nonzero
     /// count there indicates an event-ordering bug, so the engine
-    /// `debug_assert!`s on it; fault injection legitimately clamps when
+    /// asserts on it; fault injection legitimately clamps when
     /// failures cut intervals short.
     pub fn clamps(&self) -> u64 {
         self.clamps
@@ -153,7 +153,9 @@ impl CostTracker {
             self.active_since.resize(i + 1, None);
         }
         let prev = self.occupied_since[i].replace((t, gpcs));
-        debug_assert!(prev.is_none(), "double allocation of {key:?}");
+        // Checked in release builds too: a second allocation would drop
+        // the first one's open interval from the MIG-time totals.
+        assert!(prev.is_none(), "double allocation of {key:?}");
         if self.alloc_count[gpu] == 0 {
             self.gpu_busy_since[gpu] = Some(t);
         }
@@ -204,6 +206,27 @@ impl CostTracker {
             let d = self.interval(t, since);
             self.active_total[key.0 as usize] += d;
         }
+    }
+
+    /// The first GPU whose active MIG time up to `end` exceeds its
+    /// occupied MIG time, open intervals included, with both totals. A
+    /// slice works only while allocated, so any answer but `None` is a
+    /// bookkeeping bug. Reads only: nothing is closed or counted.
+    pub fn active_overrun(&self, end: SimTime) -> Option<(usize, SimDuration, SimDuration)> {
+        let mut active = self.active_total.clone();
+        let mut occupied = self.occupied_total.clone();
+        for (i, since) in self.active_since.iter().enumerate() {
+            if let Some(since) = since {
+                active[i / SLICE_STRIDE] += end.saturating_since(*since);
+            }
+        }
+        for (i, since) in self.occupied_since.iter().enumerate() {
+            if let Some((since, _)) = since {
+                occupied[i / SLICE_STRIDE] += end.saturating_since(*since);
+            }
+        }
+        let gpu = active.iter().zip(&occupied).position(|(a, o)| a > o)?;
+        Some((gpu, active[gpu], occupied[gpu]))
     }
 
     /// Closes all open intervals at `end` and produces the report.
@@ -355,5 +378,30 @@ mod tests {
         let r = c.finalize(t(0));
         assert_eq!(r.occupied_pct(0, 3), 0.0);
         assert_eq!(r.active_pct(0, 0), 0.0);
+    }
+
+    #[test]
+    fn active_overrun_flags_work_on_an_unallocated_slice() {
+        let mut c = CostTracker::new(2, t(0));
+        c.slice_allocated(t(0), (0, 0), 1);
+        c.slice_active(t(2), (0, 0));
+        c.slice_idle(t(4), (0, 0));
+        // Open intervals count: slice (0, 0) is still allocated at t = 9.
+        assert_eq!(c.active_overrun(t(9)), None);
+        // GPU 1's slice works without ever being allocated.
+        c.slice_active(t(5), (1, 3));
+        assert_eq!(
+            c.active_overrun(t(9)),
+            Some((1, SimDuration::from_secs(4), SimDuration::ZERO))
+        );
+        assert_eq!(c.clamps(), 0, "reading closes and counts nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "double allocation")]
+    fn double_allocation_panics() {
+        let mut c = CostTracker::new(1, t(0));
+        c.slice_allocated(t(0), (0, 2), 1);
+        c.slice_allocated(t(1), (0, 2), 1);
     }
 }

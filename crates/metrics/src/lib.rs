@@ -9,10 +9,12 @@
 //!   accounting (Figure 9) and completion throughput (Figure 10).
 //! * [`cdf`] — latency CDFs and percentiles (Figures 11–13, P95 tail
 //!   latency claims). Run logs build theirs with
-//!   [`LatencyCdf::from_micros`]: a radix sort of the integer-µs
-//!   latencies ([`RequestLog::latencies_us`]), bit-identical to sorting
-//!   the ms values, which [`LatencyCdf::new`] still does for arbitrary
-//!   `f64` samples.
+//!   [`LatencyCdf::from_micros`] over the integer-µs latencies
+//!   ([`RequestLog::latencies_us`]); [`LatencyCdf::new`] takes arbitrary
+//!   `f64` samples. A percentile is one order statistic, found by
+//!   selection on the unsorted samples; only the plotted curve and
+//!   `fraction_below` sort them. Every answer is bit-identical to reading
+//!   the nearest rank off the sorted ms values.
 //! * [`timeline`] — binned time series of utilization (Figures 3 and 16)
 //!   and the occupied-vs-active accounting of Figure 5.
 //! * [`cost`] — "GPU time" and "MIG time" accounting per §6 (Table 6): a

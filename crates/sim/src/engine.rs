@@ -2,15 +2,27 @@
 //!
 //! Pending events live in two places:
 //!
-//! * **Heap** — every event pushed with [`Scheduler::at`] (or `after` /
-//!   `immediately`) waits in one `BinaryHeap` ordered by
-//!   `(time, insertion-seq)`.
+//! * **Queue** — every event pushed with [`Scheduler::at`] (or `after` /
+//!   `immediately`) waits in one `Vec` kept sorted by time, equal times
+//!   in push order, behind a cursor. A push binary-searches its slot
+//!   behind its equal-time peers and inserts there; the drain takes the
+//!   earliest events at the cursor and drops taken entries once they are
+//!   half the vector. That is exact `(time, insertion-seq)` order without
+//!   storing a seq. The insert is O(n), but the queue stays small (7–34
+//!   pending on average at a push in the benchmark's workloads, 117 and
+//!   at most 192 in `exp_scale` at 4,096 GPUs) and a new follow-up
+//!   usually lands near the back: about a quarter of the queue lies
+//!   behind it. `hotpath.rs`'s `event_queue_churn`, whose uniform delays
+//!   move twice that, has the bare vector ahead of a binary heap at 8
+//!   and 48 pending, level at 193 and behind at 1,024: the insert stops
+//!   paying at about 200 pending. Bulk loads belong in the stream: pushing n
+//!   events earliest-last moves the whole queue each time.
 //! * **Stream** — a pre-sorted batch loaded up front
 //!   ([`Scheduler::preload_sorted`], e.g. a trace's arrivals) never enters
-//!   the heap: only its timestamps are stored, behind a cursor, and the
-//!   drain merges them with the heap, building entry `i`'s event from `i`
-//!   when it runs. Its seqs precede every pushed event's, so at equal
-//!   timestamps the stream head runs first.
+//!   the queue: only its timestamps are stored, behind a cursor, and the
+//!   drain merges them with the queue, building entry `i`'s event from `i`
+//!   when it runs. It is loaded before any push, so at equal timestamps
+//!   the stream head runs first.
 //!
 //! [`run_until`] drains one *batch* at a time: every queued event of one
 //! timestamp from one source. That is exact `(time, seq)` order — see
@@ -18,8 +30,6 @@
 //! reference heap and `docs/ARCHITECTURE.md` for the argument.
 
 use std::cell::Cell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::time::SimTime;
@@ -77,32 +87,10 @@ fn note_executed(n: u64) {
     }
 }
 
+/// A pushed event and its timestamp (µs); `None` once taken to run.
 struct Scheduled<E> {
     at: u64,
-    seq: u64,
-    ev: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first. Ties broken by
-        // insertion sequence so execution order is deterministic and FIFO.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+    ev: Option<E>,
 }
 
 /// The pending-event set and simulation clock.
@@ -114,21 +102,23 @@ impl<E> Ord for Scheduled<E> {
 /// `ffs_obs::schedule_clamps`) so the bug is visible in release builds too.
 pub struct Scheduler<E> {
     now: SimTime,
-    seq: u64,
     executed: u64,
     clamps: u64,
-    /// Every pushed event, earliest `(time, seq)` on top.
-    heap: BinaryHeap<Scheduled<E>>,
-    /// The heap batch [`run_until`] is dispatching, popped whole before
+    /// Every pushed event, sorted by time with equal times in push order.
+    /// Entries before `queue_next` have been taken; the rest are pending.
+    queue: Vec<Scheduled<E>>,
+    /// Index of the queue's earliest pending entry.
+    queue_next: usize,
+    /// The queue batch [`run_until`] is dispatching, taken whole before
     /// its first handler runs. Empty between batches; kept only so its
     /// capacity is reused.
     batch: Vec<E>,
     /// Timestamps of the pre-sorted events ([`Scheduler::preload_sorted`]),
-    /// consumed front-to-back as they run; they never enter the heap.
-    /// Entries carry seqs below every pushed event (preload happens on a
-    /// fresh scheduler), so the stream head runs before any heap event of
-    /// the same timestamp, and merging the two by time alone reproduces
-    /// exact `(time, seq)` order.
+    /// consumed front-to-back as they run; they never enter the queue.
+    /// Preload happens on a fresh scheduler, so every entry precedes every
+    /// pushed event in `(time, seq)` order at equal timestamps: the stream
+    /// head runs before any queued event of the same timestamp, and
+    /// merging the two by time alone reproduces exact `(time, seq)` order.
     stream: Vec<u64>,
     /// Index of the stream's head: entries before it have been taken.
     stream_next: usize,
@@ -153,10 +143,10 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            seq: 0,
             executed: 0,
             clamps: 0,
-            heap: BinaryHeap::new(),
+            queue: Vec::new(),
+            queue_next: 0,
             batch: Vec::new(),
             stream: Vec::new(),
             stream_next: 0,
@@ -166,17 +156,17 @@ impl<E> Scheduler<E> {
 
     /// Returns the scheduler to its freshly constructed state while keeping
     /// every container's grown capacity. A pooled scheduler reset this way
-    /// is indistinguishable from a new one — same `seq` stream, same clock
-    /// — so reuse across runs is bit-exact (the arena-reuse determinism
+    /// is indistinguishable from a new one — empty queue, same clock — so
+    /// reuse across runs is bit-exact (the arena-reuse determinism
     /// test pins this down).
     pub fn reset(&mut self) {
-        self.heap.clear();
+        self.queue.clear();
+        self.queue_next = 0;
         self.batch.clear();
         self.stream.clear();
         self.stream_next = 0;
         self.stream_event = no_stream::<E>;
         self.now = SimTime::ZERO;
-        self.seq = 0;
         self.executed = 0;
         self.clamps = 0;
     }
@@ -185,7 +175,7 @@ impl<E> Scheduler<E> {
     /// The arena-growth test asserts this stays flat once a pooled
     /// scheduler has seen its peak load.
     pub fn retained_capacity(&self) -> usize {
-        self.heap.capacity() + self.batch.capacity() + self.stream.capacity()
+        self.queue.capacity() + self.batch.capacity() + self.stream.capacity()
     }
 
     /// Bulk-loads a time-sorted batch of events (e.g. a trace's arrivals)
@@ -193,19 +183,22 @@ impl<E> Scheduler<E> {
     /// to calling [`Scheduler::at`] with `event(i)` for each timestamp in
     /// order, but only the timestamps are stored (8 B each, reserved
     /// exactly from the iterator's size hint), and the drain merges them
-    /// with the heap and builds each event when it runs, so an entry costs
-    /// no heap insert and no event copy.
+    /// with the queue and builds each event when it runs, so an entry
+    /// costs no queue insert and no event copy.
     ///
     /// # Panics
     /// Panics if the scheduler is not fresh (events were already scheduled)
     /// or if the times are not sorted nondecreasingly — both are required
-    /// for the stream's seq-order shortcut to be exact.
+    /// for the stream-first tie rule to be exact.
     pub fn preload_sorted<I: IntoIterator<Item = SimTime>>(
         &mut self,
         times: I,
         event: fn(u64) -> E,
     ) {
-        assert_eq!(self.seq, 0, "preload requires a fresh scheduler");
+        assert!(
+            self.executed == 0 && self.queue.is_empty() && self.stream.is_empty(),
+            "preload requires a fresh scheduler"
+        );
         let times = times.into_iter();
         self.stream.reserve_exact(times.size_hint().0);
         let mut last = 0u64;
@@ -216,7 +209,6 @@ impl<E> Scheduler<E> {
             self.stream.push(at);
         }
         self.stream_event = event;
-        self.seq = self.stream.len() as u64;
     }
 
     /// Bytes the preload stream holds allocated: 8 per timestamp of the
@@ -239,7 +231,7 @@ impl<E> Scheduler<E> {
     /// Number of events still pending (not counting the rest of a batch
     /// already taken for dispatch).
     pub fn pending(&self) -> usize {
-        self.heap.len() + (self.stream.len() - self.stream_next)
+        self.queue.len() - self.queue_next + (self.stream.len() - self.stream_next)
     }
 
     /// Number of past-scheduling attempts that were clamped to `now`.
@@ -259,13 +251,14 @@ impl<E> Scheduler<E> {
         } else {
             at
         };
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            at: at.as_micros(),
-            seq,
-            ev,
-        });
+        // Every queued event was pushed before this one, so it goes behind
+        // its equal-time peers. Most pushes land near the back (a new
+        // follow-up is usually later than what is already in flight), so
+        // the insert moves few entries.
+        let at = at.as_micros();
+        let pending = &self.queue[self.queue_next..];
+        let slot = self.queue_next + pending.partition_point(|s| s.at <= at);
+        self.queue.insert(slot, Scheduled { at, ev: Some(ev) });
     }
 
     /// Schedules `ev` a relative duration after the current time.
@@ -288,12 +281,11 @@ impl<E> Scheduler<E> {
     }
 
     /// The timestamp of the next batch and whether it comes from the
-    /// stream: ties go to the stream, whose seqs precede every pushed
-    /// event's.
+    /// stream: ties go to the stream, which precedes every pushed event.
     #[inline]
     fn front(&self) -> Option<(u64, bool)> {
-        let heap = self.heap.peek().map(|s| s.at);
-        match (self.stream_head(), heap) {
+        let queued = self.queue.get(self.queue_next).map(|s| s.at);
+        match (self.stream_head(), queued) {
             (Some(s), Some(h)) if s <= h => Some((s, true)),
             (Some(s), None) => Some((s, true)),
             (_, h) => h.map(|h| (h, false)),
@@ -314,12 +306,18 @@ impl<E> Scheduler<E> {
         first..first + n
     }
 
-    /// Pops every heap event at `t` (the heap's top time), in seq order,
-    /// into `batch`.
-    fn take_heap_batch(&mut self, t: u64, batch: &mut Vec<E>) {
-        while self.heap.peek().is_some_and(|s| s.at == t) {
-            let sch = self.heap.pop().expect("peeked non-empty");
-            batch.push(sch.ev);
+    /// Moves every queued event at `t` (the queue's earliest time) into
+    /// `batch` in push order, moving the cursor past them. Taken entries
+    /// are dropped once they are at least half the vector, so dropping
+    /// them moves no more pending entries than it drops.
+    fn take_queue_batch(&mut self, t: u64, batch: &mut Vec<E>) {
+        while let Some(s) = self.queue.get_mut(self.queue_next).filter(|s| s.at == t) {
+            batch.push(s.ev.take().expect("pending entries hold their event"));
+            self.queue_next += 1;
+        }
+        if self.queue_next * 2 >= self.queue.len() {
+            self.queue.drain(..self.queue_next);
+            self.queue_next = 0;
         }
     }
 }
@@ -335,18 +333,18 @@ pub enum StopReason {
 
 /// Runs the world until the queue empties or the clock reaches `until`,
 /// draining a *batch* (every queued event of one timestamp from one
-/// source: the stream's run at its head, or the heap's events at its top
-/// time) at a time.
+/// source: the stream's run at its head, or the queue's events at its
+/// earliest time) at a time.
 ///
 /// Events scheduled exactly at `until` are *not* executed, so consecutive
 /// calls with increasing deadlines partition time unambiguously.
 ///
 /// Batches keep exact `(time, insertion-seq)` order. The stream's
-/// same-timestamp run is in seq order, and the heap pops its batch in seq
-/// order. At a timestamp both sources hold, the stream batch runs first:
-/// its seqs are the lowest. Handlers can only schedule at `t >= now`
-/// (past times clamp to `now`), so events pushed mid-batch at the batch's
-/// own timestamp carry larger seqs than the whole batch and run as the
+/// same-timestamp run is in seq order, and the queue yields its batch in
+/// push order. At a timestamp both sources hold, the stream batch runs
+/// first: it was loaded before any push. Handlers can only schedule at
+/// `t >= now` (past times clamp to `now`), so events pushed mid-batch at
+/// the batch's own timestamp come after the whole batch and run as the
 /// *next* batch before the clock moves.
 ///
 /// # Panics
@@ -369,7 +367,7 @@ pub fn run_until<W: World>(
     let telemetry = ffs_telemetry::enabled();
     let executed_at_entry = sched.executed;
     let until_us = until.as_micros();
-    // The heap batch buffer leaves the scheduler while its handlers hold
+    // The queue batch buffer leaves the scheduler while its handlers hold
     // `&mut Scheduler`, and returns with its capacity after each batch.
     let mut batch = std::mem::take(&mut sched.batch);
     let reason = loop {
@@ -383,7 +381,7 @@ pub fn run_until<W: World>(
         let stream = if from_stream {
             sched.take_stream_batch(at_us)
         } else {
-            sched.take_heap_batch(at_us, &mut batch);
+            sched.take_queue_batch(at_us, &mut batch);
             0..0
         };
         let n = stream.len() + batch.len();
@@ -643,9 +641,9 @@ mod tests {
         assert_eq!(s.executed(), 100);
         assert_eq!(s.now(), SimTime::from_micros(99 * 300_000));
         assert_eq!(
-            s.heap.capacity() + s.batch.capacity(),
+            s.queue.capacity() + s.batch.capacity(),
             0,
-            "the stream bypasses the heap and its batch buffer"
+            "the stream bypasses the queue and its batch buffer"
         );
     }
 
@@ -775,7 +773,7 @@ mod tests {
         assert_eq!(s.now(), SimTime::ZERO);
         assert_eq!(s.retained_capacity(), cap, "reset must keep capacity");
 
-        // A reset scheduler accepts preload again (requires seq == 0) and
+        // A reset scheduler accepts preload again (it is fresh) and
         // replays identically to a fresh one.
         let replay = |s: &mut Scheduler<u32>| {
             s.preload_sorted([SimTime::from_micros(7), SimTime::from_secs(30)], |i| {

@@ -11,9 +11,15 @@
 //! * **Integer time.** [`SimTime`] and [`SimDuration`] are microsecond
 //!   counters. Floating-point simulation clocks make event ordering depend on
 //!   rounding; integer clocks do not.
-//! * **Total event order.** Ties at the same timestamp are broken by a
-//!   monotonically increasing sequence number, so a simulation run is a pure
-//!   function of its inputs.
+//! * **Total event order.** Ties at the same timestamp are broken by
+//!   insertion order, so a simulation run is a pure function of its
+//!   inputs. Pending events wait in one `Vec` kept sorted by time
+//!   behind a cursor: a push binary-searches its slot behind its
+//!   equal-time peers, the drain takes events at the cursor. It holds
+//!   only in-flight follow-ups (7–34 on average in the benchmark's
+//!   workloads, at most 192 in `exp_scale` at 4,096 GPUs), and a new one
+//!   usually lands near the back; a trace's arrivals bypass it through
+//!   [`Scheduler::preload_sorted`].
 //! * **Deterministic randomness.** [`rng::SimRng`] is a seeded, splittable
 //!   xoshiro256++ generator. Every stochastic component in the workspace
 //!   draws from an explicitly seeded stream.

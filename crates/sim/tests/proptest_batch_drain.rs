@@ -9,7 +9,9 @@
 //! reasons. Every program here carries cancellers aimed at real victims,
 //! so tombstoned deliveries and requeued copies land inside batches, next
 //! to the same-instant pushes and past-time clamps of the program's
-//! handler chains.
+//! handler chains. One program of each kind holds several hundred events
+//! pending at once, so batches are taken from every depth of the sorted
+//! queue.
 
 mod common;
 
@@ -78,6 +80,28 @@ proptest! {
             p.push(t, i as u32);
         }
         push_cancels(&mut p, &cancels, victims.len());
+        p.run_segments(&pinned(deadlines, Some(victims[0])), &extra)?;
+    }
+
+    /// A deep queue: a preloaded stream plus several hundred pushed
+    /// victims (many sharing a timestamp) and their cancellers, drained
+    /// across segments; batch and stepwise drains still agree.
+    #[test]
+    fn deep_queue_batch_drain_matches_stepwise(
+        stream in proptest::collection::vec(arb_time(), 0..64),
+        victims in proptest::collection::vec(arb_time(), 200..500),
+        cancels in proptest::collection::vec((arb_time(), 0usize..500), 0..40),
+        deadlines in proptest::collection::vec(arb_time(), 1..5),
+        extra in proptest::collection::vec(arb_time(), 3),
+    ) {
+        let mut stream = stream;
+        stream.sort_unstable();
+        let mut p = Pair::preloaded(&stream);
+        for (i, &t) in victims.iter().enumerate() {
+            p.push(t, i as u32);
+        }
+        push_cancels(&mut p, &cancels, victims.len());
+        prop_assert!(p.sched.pending() >= 200);
         p.run_segments(&pinned(deadlines, Some(victims[0])), &extra)?;
     }
 }

@@ -19,7 +19,10 @@
 //!   stays queued on both sides),
 //! * a preloaded stream whose batches merge with the heap's (stream first
 //!   at a shared timestamp),
-//! * segmented runs with pushes between segments.
+//! * segmented runs with pushes between segments,
+//! * deep queues: several hundred events pending at once, far beyond the
+//!   7–34 the repository's workloads average, so every insert position
+//!   of the sorted queue is exercised.
 
 mod common;
 
@@ -109,6 +112,27 @@ proptest! {
         }
         prop_assert_eq!(p.sched.pending(), p.reference.heap.len());
         p.run_segments(&pinned(deadlines, stream.first().copied()), &extra)?;
+    }
+
+    /// Several hundred events pending at once, with cancellers, handler
+    /// chains and a multi-deadline run: the sorted queue's inserts land
+    /// at every depth and still execute in reference order.
+    #[test]
+    fn deep_queue_matches_reference(
+        times in proptest::collection::vec(arb_time(), 200..600),
+        cancels in proptest::collection::vec((arb_time(), 0u32..600), 0..40),
+        deadlines in proptest::collection::vec(arb_time(), 1..6),
+        extra in proptest::collection::vec(arb_time(), 3),
+    ) {
+        let mut p = Pair::default();
+        for (i, &t) in times.iter().enumerate() {
+            p.push(t, i as u32);
+        }
+        for &(t, victim) in &cancels {
+            p.push(t, CANCEL_BASE + victim);
+        }
+        prop_assert!(p.sched.pending() >= 200);
+        p.run_segments(&pinned(deadlines, times.first().copied()), &extra)?;
     }
 
     /// Tombstone cancellation + requeue under fault injection: victims,
