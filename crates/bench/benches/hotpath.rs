@@ -5,11 +5,16 @@
 //! maintained exclusive-fleet summary against the per-request scan it
 //! replaced, the incremental plan-cache signature against recomputing it
 //! from the free-slice list, latency percentiles by selection against a
-//! full sort, preloaded arrivals against arrivals pushed through the event
-//! queue, a harness summary over a saturated run's request log, and an
-//! end-to-end run that exercises every hot-path change at once.
+//! full sort, the preloaded arrival stream, a harness summary over a
+//! saturated run's request log, and an end-to-end run that exercises every
+//! hot-path change at once.
+//!
+//! ```sh
+//! cargo bench -p ffs-bench --bench hotpath            # median and IQR per arm
+//! cargo bench -p ffs-bench --bench hotpath -- --test  # each arm once
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use ffs_bench::Bench;
 use std::hint::black_box;
 
 use std::cmp::Ordering;
@@ -51,7 +56,7 @@ const SEED: u64 = 0x2545_f491_4f6c_dd1d;
 /// of a pooled one. Both then load the same standing population, so the
 /// arms differ only in whether the event queue grows from empty or reuses
 /// a pooled one's capacity.
-fn bench_scheduler_construct(c: &mut Criterion) {
+fn bench_scheduler_construct(b: &Bench) {
     let seeds: Vec<u64> = {
         let mut x = SEED;
         (0..PENDING).map(|_| xorshift(&mut x) % 1_000_000).collect()
@@ -61,23 +66,17 @@ fn bench_scheduler_construct(c: &mut Criterion) {
             s.at(SimTime::from_micros(t), Event::Arrival(i as u64));
         }
     };
-    let mut g = c.benchmark_group("scheduler_construct");
-    g.bench_function("fresh_new", |b| {
-        b.iter(|| {
-            let mut s: Scheduler<Event> = Scheduler::new();
-            load(&mut s);
-            black_box(s.pending())
-        })
+    b.run("scheduler_construct/fresh_new", || {
+        let mut s: Scheduler<Event> = Scheduler::new();
+        load(&mut s);
+        black_box(s.pending())
     });
     let mut pooled: Scheduler<Event> = Scheduler::new();
-    g.bench_function("pooled_reset", |b| {
-        b.iter(|| {
-            pooled.reset();
-            load(&mut pooled);
-            black_box(pooled.pending())
-        })
+    b.run("scheduler_construct/pooled_reset", || {
+        pooled.reset();
+        load(&mut pooled);
+        black_box(pooled.pending())
     });
-    g.finish();
 }
 
 // ---------------------------------------------------------------------
@@ -221,35 +220,31 @@ fn hold_churn<Q: HoldQueue>(pending: u64) -> u64 {
 /// quarter of the queue behind it, so this churn moves about twice the
 /// entries a real push does. Profiling is off for the group, so no arm
 /// pays for spans.
-fn bench_event_queue(c: &mut Criterion) {
+fn bench_event_queue(b: &Bench) {
     let profiled = ffs_telemetry::enabled();
     ffs_telemetry::set_enabled(false);
-    let mut g = c.benchmark_group("event_queue_churn");
     let mut sched: Scheduler<Event> = Scheduler::new();
     for pending in [8u64, 48, 193, 1_024] {
-        g.bench_function(format!("sorted_vec_{pending}"), |b| {
-            b.iter(|| black_box(hold_churn::<SortedVec>(pending)))
+        b.run(&format!("event_queue_churn/sorted_vec_{pending}"), || {
+            black_box(hold_churn::<SortedVec>(pending))
         });
-        g.bench_function(format!("binary_heap_{pending}"), |b| {
-            b.iter(|| black_box(hold_churn::<SeqHeap>(pending)))
+        b.run(&format!("event_queue_churn/binary_heap_{pending}"), || {
+            black_box(hold_churn::<SeqHeap>(pending))
         });
-        g.bench_function(format!("scheduler_{pending}"), |b| {
-            b.iter(|| {
-                sched.reset();
-                let mut world = Churn {
-                    rng: SEED,
-                    left: CHURN_EVENTS,
-                };
-                for i in 0..pending {
-                    let at = SimTime::from_micros(churn_delay(&mut world.rng));
-                    sched.at(at, Event::Arrival(i));
-                }
-                run_until(&mut world, &mut sched, SimTime::MAX);
-                black_box(sched.executed())
-            })
+        b.run(&format!("event_queue_churn/scheduler_{pending}"), || {
+            sched.reset();
+            let mut world = Churn {
+                rng: SEED,
+                left: CHURN_EVENTS,
+            };
+            for i in 0..pending {
+                let at = SimTime::from_micros(churn_delay(&mut world.rng));
+                sched.at(at, Event::Arrival(i));
+            }
+            run_until(&mut world, &mut sched, SimTime::MAX);
+            black_box(sched.executed())
         });
     }
-    g.finish();
     ffs_telemetry::set_enabled(profiled);
 }
 
@@ -306,42 +301,36 @@ fn scan_slab(n: u64) -> InstanceSlab {
 /// on the SoA hot columns against the instance records they mirror. The
 /// record path drags each instance's plans, queues and timing tables
 /// through the cache to read three scalars.
-fn bench_soa_scan(c: &mut Criterion) {
+fn bench_soa_scan(b: &Bench) {
     const FLEET: u64 = 256;
     let slab = scan_slab(FLEET);
     let slo_ms = 100.0;
-    let mut g = c.benchmark_group("routing_scan_256_instances");
-    g.bench_function("soa_columns", |b| {
-        b.iter(|| {
-            let mut best: Option<(InstanceId, f64)> = None;
-            for id in (0..FLEET).map(InstanceId) {
-                if !slab.has_admission_capacity(id) {
-                    continue;
-                }
-                let lat = slab.latency_ms_of(id);
-                if best.is_none_or(|(_, b)| lat < b) {
-                    best = Some((id, lat));
-                }
+    b.run("routing_scan_256_instances/soa_columns", || {
+        let mut best: Option<(InstanceId, f64)> = None;
+        for id in (0..FLEET).map(InstanceId) {
+            if !slab.has_admission_capacity(id) {
+                continue;
             }
-            black_box(best)
-        })
-    });
-    g.bench_function("slab_records", |b| {
-        b.iter(|| {
-            let mut best: Option<(InstanceId, f64)> = None;
-            for inst in slab.values() {
-                if !inst.has_capacity(slo_ms) {
-                    continue;
-                }
-                let lat = inst.est.latency_ms;
-                if best.is_none_or(|(_, b)| lat < b) {
-                    best = Some((inst.id, lat));
-                }
+            let lat = slab.latency_ms_of(id);
+            if best.is_none_or(|(_, b)| lat < b) {
+                best = Some((id, lat));
             }
-            black_box(best)
-        })
+        }
+        black_box(best)
     });
-    g.finish();
+    b.run("routing_scan_256_instances/slab_records", || {
+        let mut best: Option<(InstanceId, f64)> = None;
+        for inst in slab.values() {
+            if !inst.has_capacity(slo_ms) {
+                continue;
+            }
+            let lat = inst.est.latency_ms;
+            if best.is_none_or(|(_, b)| lat < b) {
+                best = Some((inst.id, lat));
+            }
+        }
+        black_box(best)
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -353,38 +342,32 @@ fn bench_soa_scan(c: &mut Criterion) {
 /// the fleet at its admission bound, so the index holds ~2/3 of the
 /// instances; the full scan still reads the phase/occupancy/cap columns
 /// of all of them.
-fn bench_route_index(c: &mut Criterion) {
+fn bench_route_index(b: &Bench) {
     const FLEET: u64 = 256;
     let slab = scan_slab(FLEET);
-    let mut g = c.benchmark_group("route_lookup_256_instances");
-    g.bench_function("incremental_index", |b| {
-        b.iter(|| {
-            let mut best: Option<(u32, f64)> = None;
-            for &idx in slab.admissible_of(0) {
-                let lat = slab.latency_ms_of(InstanceId(u64::from(idx)));
-                if best.is_none_or(|(_, b)| lat < b) {
-                    best = Some((idx, lat));
-                }
+    b.run("route_lookup_256_instances/incremental_index", || {
+        let mut best: Option<(u32, f64)> = None;
+        for &idx in slab.admissible_of(0) {
+            let lat = slab.latency_ms_of(InstanceId(u64::from(idx)));
+            if best.is_none_or(|(_, b)| lat < b) {
+                best = Some((idx, lat));
             }
-            black_box(best)
-        })
+        }
+        black_box(best)
     });
-    g.bench_function("full_scan", |b| {
-        b.iter(|| {
-            let mut best: Option<(InstanceId, f64)> = None;
-            for id in (0..FLEET).map(InstanceId) {
-                if !slab.has_admission_capacity(id) {
-                    continue;
-                }
-                let lat = slab.latency_ms_of(id);
-                if best.is_none_or(|(_, b)| lat < b) {
-                    best = Some((id, lat));
-                }
+    b.run("route_lookup_256_instances/full_scan", || {
+        let mut best: Option<(InstanceId, f64)> = None;
+        for id in (0..FLEET).map(InstanceId) {
+            if !slab.has_admission_capacity(id) {
+                continue;
             }
-            black_box(best)
-        })
+            let lat = slab.latency_ms_of(id);
+            if best.is_none_or(|(_, b)| lat < b) {
+                best = Some((id, lat));
+            }
+        }
+        black_box(best)
     });
-    g.finish();
 }
 
 // ---------------------------------------------------------------------
@@ -400,27 +383,24 @@ const VIEWS_PER_ITER: usize = 1_000;
 /// instances it replaced, at a small and a large fleet. The summary is
 /// O(1); the scan grows with the instance count. Each iteration reads
 /// [`VIEWS_PER_ITER`] views.
-fn bench_overflow_view(c: &mut Criterion) {
-    let mut g = c.benchmark_group("overflow_view");
+fn bench_overflow_view(b: &Bench) {
     for fleet in [4u64, 64] {
         let slab = scan_slab(fleet);
         let ids: Vec<InstanceId> = (0..fleet).map(InstanceId).collect();
-        g.bench_function(format!("scan_{fleet}_ready_x1000"), |b| {
-            b.iter(|| {
-                for _ in 0..VIEWS_PER_ITER {
-                    black_box(exclusive_view_scan(&slab, black_box(&ids)));
-                }
-            })
+        b.run(&format!("overflow_view/scan_{fleet}_ready_x1000"), || {
+            for _ in 0..VIEWS_PER_ITER {
+                black_box(exclusive_view_scan(&slab, black_box(&ids)));
+            }
         });
-        g.bench_function(format!("summary_{fleet}_ready_x1000"), |b| {
-            b.iter(|| {
+        b.run(
+            &format!("overflow_view/summary_{fleet}_ready_x1000"),
+            || {
                 for _ in 0..VIEWS_PER_ITER {
                     black_box(slab.exclusive_view(black_box(0)));
                 }
-            })
-        });
+            },
+        );
     }
-    g.finish();
 }
 
 // ---------------------------------------------------------------------
@@ -432,27 +412,21 @@ fn bench_overflow_view(c: &mut Criterion) {
 /// selections on the unsorted keys, against a full sort first (what
 /// `fraction_below` or `curve` triggers, and what every percentile cost
 /// before selection). Each iteration builds from a fresh copy.
-fn bench_latency_cdf(c: &mut Criterion) {
+fn bench_latency_cdf(b: &Bench) {
     const SAMPLES: usize = 200_000;
     let mut rng = SEED;
     let micros: Vec<u64> = (0..SAMPLES)
         .map(|_| 1 + xorshift(&mut rng) % 100_000_000)
         .collect();
-    let mut g = c.benchmark_group("latency_cdf");
-    g.bench_function("select_p50_p99", |b| {
-        b.iter(|| {
-            let cdf = LatencyCdf::from_micros(micros.clone());
-            black_box((cdf.p50(), cdf.p99()))
-        })
+    b.run("latency_cdf/select_p50_p99", || {
+        let cdf = LatencyCdf::from_micros(micros.clone());
+        black_box((cdf.p50(), cdf.p99()))
     });
-    g.bench_function("sort_p50_p99", |b| {
-        b.iter(|| {
-            let cdf = LatencyCdf::from_micros(micros.clone());
-            black_box(cdf.fraction_below(0.0));
-            black_box((cdf.p50(), cdf.p99()))
-        })
+    b.run("latency_cdf/sort_p50_p99", || {
+        let cdf = LatencyCdf::from_micros(micros.clone());
+        black_box(cdf.fraction_below(0.0));
+        black_box((cdf.p50(), cdf.p99()))
     });
-    g.finish();
 }
 
 // ---------------------------------------------------------------------
@@ -478,16 +452,14 @@ impl World for Ingest {
     }
 }
 
-/// A sorted trace's arrivals loaded and drained two ways: the sorted bulk
-/// path (`preload_sorted`, whose stream the drain merges with the event
-/// queue) against pushing the same arrivals one by one with
-/// `Scheduler::at`. Same delivery order either way; the delta is what
-/// pushing arrivals through the queue costs. The pushes append, but each
-/// arrival's follow-up lands in front of every arrival still pending and
-/// moves them all, so `pushed_at` is quadratic on the sorted-vector
-/// queue (~18 s per iteration on a 2-vCPU guest): it runs one timed
-/// sample after its warm-up, not ten.
-fn bench_arrival_ingest(c: &mut Criterion) {
+/// A sorted trace's arrivals loaded through the sorted bulk path
+/// (`preload_sorted`, whose stream the drain merges with the event queue)
+/// and drained. The fallback, pushing the same arrivals one by one with
+/// `Scheduler::at`, is no longer timed: each arrival's follow-up lands in
+/// front of every arrival still pending and moves them all, so it is
+/// quadratic on the sorted-vector queue, and no run takes that path. Its
+/// last measured cost is in EXPERIMENTS.md's accelerator ledger.
+fn bench_arrival_ingest(b: &Bench) {
     // Poisson-like gaps averaging 4.8 ms: 250k arrivals over ~1200 s.
     let arrivals: Vec<SimTime> = {
         let mut x = SEED;
@@ -499,28 +471,12 @@ fn bench_arrival_ingest(c: &mut Criterion) {
             })
             .collect()
     };
-    let mut g = c.benchmark_group("arrival_ingest_250k");
-    g.sample_size(10);
-    g.bench_function("preload_sorted", |b| {
-        b.iter(|| {
-            let mut s: Scheduler<u32> = Scheduler::new();
-            s.preload_sorted(arrivals.iter().copied(), |i| i as u32);
-            run_until(&mut Ingest { rng: SEED }, &mut s, SimTime::MAX);
-            black_box(s.executed())
-        })
+    b.run("arrival_ingest_250k/preload_sorted", || {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        s.preload_sorted(arrivals.iter().copied(), |i| i as u32);
+        run_until(&mut Ingest { rng: SEED }, &mut s, SimTime::MAX);
+        black_box(s.executed())
     });
-    g.sample_size(1);
-    g.bench_function("pushed_at", |b| {
-        b.iter(|| {
-            let mut s: Scheduler<u32> = Scheduler::new();
-            for (i, &t) in arrivals.iter().enumerate() {
-                s.at(t, i as u32);
-            }
-            run_until(&mut Ingest { rng: SEED }, &mut s, SimTime::MAX);
-            black_box(s.executed())
-        })
-    });
-    g.finish();
 }
 
 // ---------------------------------------------------------------------
@@ -530,7 +486,7 @@ fn bench_arrival_ingest(c: &mut Criterion) {
 /// What a harness computes from every run's log: SLO hits, completions
 /// and the latency CDF's p50/p99, over 250k records of which about two
 /// thirds are abandoned (the saturated-backlog shape).
-fn bench_log_summary(c: &mut Criterion) {
+fn bench_log_summary(b: &Bench) {
     let mut log = RequestLog::new();
     let mut rng = SEED;
     for id in 0..ARRIVALS as u64 {
@@ -551,24 +507,20 @@ fn bench_log_summary(c: &mut Criterion) {
             log.push_abandoned(rec);
         }
     }
-    let mut g = c.benchmark_group("log_summary_250k");
-    g.bench_function("hits_completed_cdf", |b| {
-        b.iter(|| {
-            let records = log.records();
-            let hits = records.iter().filter(|r| r.slo_hit()).count();
-            let completed = records.iter().filter(|r| r.completed.is_some()).count();
-            let cdf = LatencyCdf::from_micros(log.latencies_us());
-            black_box((hits, completed, cdf.p50(), cdf.p99()))
-        })
+    b.run("log_summary_250k/hits_completed_cdf", || {
+        let records = log.records();
+        let hits = records.iter().filter(|r| r.slo_hit()).count();
+        let completed = records.iter().filter(|r| r.completed.is_some()).count();
+        let cdf = LatencyCdf::from_micros(log.latencies_us());
+        black_box((hits, completed, cdf.p50(), cdf.p99()))
     });
-    g.finish();
 }
 
 // ---------------------------------------------------------------------
 // Plan-cache hit: incremental signature vs recomputed signature
 // ---------------------------------------------------------------------
 
-fn bench_plan_cache_hit(c: &mut Criterion) {
+fn bench_plan_cache_hit(b: &Bench) {
     let fleet = Fleet::paper_default();
     let node = NodeId(0);
     let profile = FunctionProfile::build(
@@ -580,58 +532,46 @@ fn bench_plan_cache_hit(c: &mut Criterion) {
     // Warm the single entry both variants will hit.
     cache.plan(7, node, true, &profile, &fleet.free_slices(Some(node)));
 
-    let mut g = c.benchmark_group("plan_cache_hit");
-    g.bench_function("incremental_signature", |b| {
-        b.iter(|| {
-            let sig = fleet.node_signature(node);
-            black_box(cache.plan_with_signature(7, node, true, &profile, sig, || {
-                fleet.free_slices(Some(node))
-            }))
-        })
+    b.run("plan_cache_hit/incremental_signature", || {
+        let sig = fleet.node_signature(node);
+        black_box(cache.plan_with_signature(7, node, true, &profile, sig, || {
+            fleet.free_slices(Some(node))
+        }))
     });
-    g.bench_function("recomputed_signature", |b| {
-        b.iter(|| {
-            // The pre-incremental hot path: materialize the free-slice
-            // list and hash it on every lookup.
-            let free = fleet.free_slices(Some(node));
-            let sig = slice_signature(&free);
-            black_box(cache.plan_with_signature(7, node, true, &profile, sig, || free.clone()))
-        })
+    b.run("plan_cache_hit/recomputed_signature", || {
+        // The pre-incremental hot path: materialize the free-slice
+        // list and hash it on every lookup.
+        let free = fleet.free_slices(Some(node));
+        let sig = slice_signature(&free);
+        black_box(cache.plan_with_signature(7, node, true, &profile, sig, || free.clone()))
     });
-    g.finish();
 }
 
 // ---------------------------------------------------------------------
 // End-to-end run (all hot-path changes at once)
 // ---------------------------------------------------------------------
 
-fn bench_end_to_end(c: &mut Criterion) {
+fn bench_end_to_end(b: &Bench) {
     let trace = AzureTraceConfig::for_workload(WorkloadClass::Light, 60.0, 7).generate();
-    let mut g = c.benchmark_group("end_to_end");
-    g.sample_size(10);
-    g.bench_function("fluidfaas_light_60s", |b| {
-        b.iter(|| {
-            let cfg = FfsConfig::paper_default(WorkloadClass::Light);
-            let policies = paper_policies(&cfg);
-            let mut engine = Engine::new(cfg, policies, &trace).expect("valid setup");
-            let out = run_platform(&mut engine, &trace);
-            black_box(out.log.len())
-        })
+    b.run("end_to_end/fluidfaas_light_60s", || {
+        let cfg = FfsConfig::paper_default(WorkloadClass::Light);
+        let policies = paper_policies(&cfg);
+        let mut engine = Engine::new(cfg, policies, &trace).expect("valid setup");
+        let out = run_platform(&mut engine, &trace);
+        black_box(out.log.len())
     });
-    g.finish();
 }
 
-criterion_group!(
-    hotpath,
-    bench_scheduler_construct,
-    bench_event_queue,
-    bench_soa_scan,
-    bench_route_index,
-    bench_overflow_view,
-    bench_plan_cache_hit,
-    bench_latency_cdf,
-    bench_arrival_ingest,
-    bench_log_summary,
-    bench_end_to_end
-);
-criterion_main!(hotpath);
+fn main() {
+    let b = Bench::from_args();
+    bench_scheduler_construct(&b);
+    bench_event_queue(&b);
+    bench_soa_scan(&b);
+    bench_route_index(&b);
+    bench_overflow_view(&b);
+    bench_plan_cache_hit(&b);
+    bench_latency_cdf(&b);
+    bench_arrival_ingest(&b);
+    bench_log_summary(&b);
+    bench_end_to_end(&b);
+}

@@ -320,12 +320,6 @@ impl EngineCore {
         self.instances.len()
     }
 
-    /// Precomputed monolithic (exec, handoff) split for `f` on `slice`.
-    #[inline]
-    pub fn mono_split_of(&self, f: FuncId, slice: SliceProfile) -> (f64, f64) {
-        self.mono_split_ms[f][profile_index(slice)]
-    }
-
     /// Precomputed monolithic execution estimate for `f` on `slice`.
     #[inline]
     pub fn shared_exec_of(&self, f: FuncId, slice: SliceProfile) -> f64 {

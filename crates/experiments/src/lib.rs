@@ -1,8 +1,8 @@
 //! # ffs-experiments — regenerating every table and figure of the paper
 //!
 //! One module per evaluation artifact. Each experiment is a pure function
-//! from (duration, seed) to structured rows, so the `exp_*` binaries, the
-//! integration tests and the Criterion benches all share the same code.
+//! from (duration, seed) to structured rows, so the `exp_*` binaries and
+//! the integration tests share the same code.
 //!
 //! | module | paper artifact |
 //! |---|---|

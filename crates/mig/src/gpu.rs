@@ -39,11 +39,6 @@ pub struct MigSlice {
 }
 
 impl MigSlice {
-    /// True if the slice is currently allocated to an instance.
-    pub fn is_allocated(&self) -> bool {
-        self.allocated
-    }
-
     /// True if the slice is failed (fault-injected) and unavailable for
     /// allocation until recovered.
     pub fn is_failed(&self) -> bool {

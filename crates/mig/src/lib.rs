@@ -37,7 +37,6 @@
 
 pub mod error;
 pub mod fleet;
-pub mod fragmentation;
 pub mod gpu;
 pub mod nvml;
 pub mod placement;
@@ -45,7 +44,6 @@ pub mod profile;
 
 pub use error::MigError;
 pub use fleet::{Fleet, Node, NodeId, PartitionScheme};
-pub use fragmentation::{classify_demand, FragmentationReport, Placeability};
 pub use gpu::{Gpu, GpuId, MigSlice, SliceId};
 pub use placement::{PartitionLayout, Placement};
 pub use profile::SliceProfile;

@@ -16,6 +16,8 @@
 //!   paper's Listing 1: one worker per stage, handoff through in-memory
 //!   channels standing in for host shared memory, eviction flags, and
 //!   graceful termination.
+//! * [`replay`] — [`replay::stage_specs`], the one mapping from a planned
+//!   deployment to the executor's stage list.
 //!
 //! ```
 //! use ffs_mig::{Fleet, PartitionScheme};
@@ -43,4 +45,3 @@ pub use plan::{
     explain_plan, plan_deployment, plan_deployment_unranked, DeploymentPlan, PlanExplanation,
     StagePlan,
 };
-pub use replay::{spawn_from_plan, ReplayOptions};

@@ -1,37 +1,16 @@
 //! Bridging planned deployments to the live executor.
 //!
-//! A [`DeploymentPlan`] describes *where* each stage runs; this module turns
-//! it into a runnable [`PipelineExecutor`] whose stage service times come
-//! from the function's profile — the `RUN`-mode path of the paper's
-//! Figure 7, where the invoker writes the MIG assignment into the
-//! configuration layer and `FFaaS.run()` brings the pipeline up.
+//! A [`DeploymentPlan`] describes *where* each stage runs; [`stage_specs`]
+//! turns it into the stage list a [`PipelineExecutor`](crate::PipelineExecutor)
+//! spawns, with service times from the function's profile — the
+//! `RUN`-mode path of the paper's Figure 7, where the invoker writes the
+//! MIG assignment into the configuration layer and `FFaaS.run()` brings
+//! the pipeline up.
 
 use ffs_profile::FunctionProfile;
 
-use crate::executor::{KernelMode, PipelineExecutor, StageSpec};
+use crate::executor::StageSpec;
 use crate::plan::DeploymentPlan;
-
-/// Options for materialising a plan into a live pipeline.
-#[derive(Clone, Debug)]
-pub struct ReplayOptions {
-    /// Kernel mode for the synthetic stage work.
-    pub mode: KernelMode,
-    /// Multiplier on all service times (use e.g. `0.01` to run paper-scale
-    /// pipelines in test time).
-    pub time_scale: f64,
-    /// Inter-stage queue capacity (backpressure bound).
-    pub queue_cap: usize,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> Self {
-        ReplayOptions {
-            mode: KernelMode::Sleep,
-            time_scale: 1.0,
-            queue_cap: 8,
-        }
-    }
-}
 
 /// Builds the executor stage specs for a planned deployment: one stage per
 /// plan stage, service time = the stage's components back-to-back on the
@@ -59,23 +38,10 @@ pub fn stage_specs(profile: &FunctionProfile, plan: &DeploymentPlan) -> Vec<Stag
         .collect()
 }
 
-/// Spawns a live pipeline for a planned deployment.
-pub fn spawn_from_plan(
-    profile: &FunctionProfile,
-    plan: &DeploymentPlan,
-    opts: &ReplayOptions,
-) -> PipelineExecutor {
-    PipelineExecutor::spawn(
-        stage_specs(profile, plan),
-        opts.mode,
-        opts.time_scale,
-        opts.queue_cap,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{KernelMode, PipelineExecutor};
     use crate::plan::plan_deployment;
     use ffs_mig::{Fleet, PartitionLayout, PartitionScheme};
     use ffs_profile::{App, PerfModel, Variant};
@@ -129,11 +95,7 @@ mod tests {
     #[test]
     fn spawned_pipeline_preserves_output() {
         let (profile, plan) = pipelined_plan();
-        let opts = ReplayOptions {
-            time_scale: 0.001,
-            ..Default::default()
-        };
-        let ex = spawn_from_plan(&profile, &plan, &opts);
+        let ex = PipelineExecutor::spawn(stage_specs(&profile, &plan), KernelMode::Sleep, 0.001, 8);
         let input = vec![1.0_f32, 2.5, -3.0];
         let expected = ex.reference_output(input.clone());
         ex.submit(0, input).unwrap();

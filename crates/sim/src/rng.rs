@@ -102,13 +102,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform float in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(hi >= lo);
-        lo + (hi - lo) * self.f64()
-    }
-
     /// Bernoulli draw with probability `p` of `true`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {

@@ -27,14 +27,12 @@
 
 pub mod azure;
 pub mod fairness;
-pub mod loader;
 pub mod scale;
 pub mod stats;
 pub mod workload;
 
 pub use azure::{AzureTraceConfig, Trace};
 pub use fairness::FairnessScenario;
-pub use loader::{parse_csv, to_trace, FunctionRow, LoadError};
 pub use scale::{partition_trace, CellTrace, ScaleTraceConfig};
 pub use stats::{all_stats, app_stats, AppTraceStats};
 pub use workload::{Invocation, WorkloadClass};

@@ -12,8 +12,8 @@
 
 use fluidfaas_repro::mig::{Fleet, PartitionScheme, SliceProfile};
 use fluidfaas_repro::pipeline::plan::plan_deployment;
-use fluidfaas_repro::pipeline::replay::{spawn_from_plan, ReplayOptions};
-use fluidfaas_repro::pipeline::{estimate, KernelMode};
+use fluidfaas_repro::pipeline::replay::stage_specs;
+use fluidfaas_repro::pipeline::{estimate, KernelMode, PipelineExecutor};
 use fluidfaas_repro::profile::{App, FunctionProfile, PerfModel, Variant};
 
 fn main() {
@@ -77,13 +77,8 @@ fn main() {
         est.latency_ms, est.bottleneck_ms, est.throughput_rps
     );
 
-    // Run it live (time scaled down 50x for the demo).
-    let opts = ReplayOptions {
-        mode: KernelMode::Sleep,
-        time_scale: 0.02,
-        queue_cap: 8,
-    };
-    let ex = spawn_from_plan(&profile, &plan, &opts);
+    // Run it live (time scaled down 50x for the demo, 8-deep stage queues).
+    let ex = PipelineExecutor::spawn(stage_specs(&profile, &plan), KernelMode::Sleep, 0.02, 8);
     let prompt: Vec<f32> = (0..32).map(|i| (i as f32).sin()).collect();
     let expected = ex.reference_output(prompt.clone());
     for i in 0..8 {

@@ -5,23 +5,9 @@ use std::time::Instant;
 
 use fluidfaas_repro::mig::{Fleet, PartitionLayout, PartitionScheme};
 use fluidfaas_repro::pipeline::plan::plan_deployment;
+use fluidfaas_repro::pipeline::replay::stage_specs;
 use fluidfaas_repro::pipeline::{KernelMode, PipelineExecutor, StageSpec};
 use fluidfaas_repro::profile::{App, FunctionProfile, PerfModel, Variant};
-
-/// Builds executor stage specs from a planned deployment.
-fn specs_from_plan(
-    profile: &FunctionProfile,
-    plan: &fluidfaas_repro::pipeline::DeploymentPlan,
-) -> Vec<StageSpec> {
-    plan.stages
-        .iter()
-        .enumerate()
-        .map(|(i, stage)| {
-            let service = profile.stage_exec_ms(&stage.nodes, stage.profile);
-            StageSpec::new(format!("stage{i}"), service, 1.5, -0.25)
-        })
-        .collect()
-}
 
 #[test]
 fn planned_pipeline_runs_live_and_matches_reference() {
@@ -40,12 +26,7 @@ fn planned_pipeline_runs_live_and_matches_reference() {
     let plan = plan_deployment(&profile, &fleet.free_slices(None)).expect("feasible");
     assert!(!plan.is_monolithic());
 
-    let ex = PipelineExecutor::spawn(
-        specs_from_plan(&profile, &plan),
-        KernelMode::Sleep,
-        0.001,
-        4,
-    );
+    let ex = PipelineExecutor::spawn(stage_specs(&profile, &plan), KernelMode::Sleep, 0.001, 4);
     let input = vec![3.0_f32, -1.5, 0.0, 42.0];
     let expected = ex.reference_output(input.clone());
     for i in 0..10 {
